@@ -1,6 +1,6 @@
 //! Seeded hostile-load generator: composable abuse profiles driven
-//! concurrently with a well-behaved loadgen baseline (the `abusegen`
-//! binary's `BENCH_PR8.json`, and the simcheck `abuse.*` oracle family).
+//! concurrently with a well-behaved loadgen baseline (the `abuse` bench
+//! suite, and the simcheck `abuse.*` oracle family).
 //!
 //! Each [`Profile`] is one adversarial client population:
 //!

@@ -1,10 +1,12 @@
 //! Benchmark support: shared fixtures for the Criterion benches, the
 //! `repro` harness binary that regenerates every table and figure, the
-//! [`loadgen`] closed-loop load generator behind `BENCH_PR5.json`, and
-//! the [`abusegen`] hostile-load generator behind `BENCH_PR8.json`.
+//! one [`report`] type and flag parser behind every `bench` suite, the
+//! [`loadgen`] closed-loop load generator behind the `transport` suite,
+//! and the [`abusegen`] hostile-load generator behind the `abuse` suite.
 
 pub mod abusegen;
 pub mod loadgen;
+pub mod report;
 
 use dissenter_core::{run_study, Study};
 use std::sync::OnceLock;

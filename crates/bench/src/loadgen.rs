@@ -1,5 +1,5 @@
 //! Closed-loop load generator for the conditional-request serving layer
-//! (the `BENCH_PR5.json` artifact).
+//! (the loadgen phase of the `transport` bench suite).
 //!
 //! [`run`] drives a front with `threads` closed-loop workers — each
 //! issues its next request only after the previous one completes — and
@@ -13,8 +13,8 @@
 //!   repeats send `If-None-Match` and ride the `304` fast path (a hash
 //!   compare and ~100 wire bytes instead of a render and a full body).
 //!
-//! The `loadgen` binary runs both regimes against the same services and
-//! self-validates that cached throughput strictly beats uncached.
+//! The `transport` bench suite runs both regimes against the same
+//! services and gates on cached throughput strictly beating uncached.
 
 use httpnet::{Client, ConnPool, RevalidationCache};
 use std::net::SocketAddr;
@@ -33,8 +33,8 @@ pub struct LoadConfig {
     /// reach steady state: connections established, server and
     /// revalidation caches filled. Without this, cold-cache fill lands
     /// inside the measured window and skews cached-regime percentiles
-    /// (BENCH_PR5's cached p99 exceeded its uncached p99 exactly this
-    /// way).
+    /// (an unwarmed run's cached p99 exceeded its uncached p99 exactly
+    /// this way).
     pub warmup_per_thread: usize,
     /// Keep-alive pool shared by the workers; inspect
     /// [`ConnPool::stats`] afterwards for reuse/open/evicted accounting.

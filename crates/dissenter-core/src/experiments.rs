@@ -136,7 +136,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: "run statistics — stage timings, crawl coverage, scorer throughput",
         paper_result: "not a paper artifact: the observability report for the run itself",
         modules: "obs::*, dissenter_core::runstats, render::runstats",
-        bench: Some("scripts/bench.sh → BENCH_PR2.json"),
+        bench: Some("scripts/bench.sh study → bench-results/study.json"),
     },
     Experiment {
         id: "simcheck",

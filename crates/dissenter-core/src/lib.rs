@@ -77,20 +77,6 @@ pub struct StudyConfig {
     pub revalidation: Option<usize>,
 }
 
-impl StudyConfig {
-    /// Test-sized configuration.
-    #[deprecated(since = "0.10.0", note = "compose via `Study::builder()` instead")]
-    pub fn small() -> Self {
-        Study::builder().build().expect("default builder config is valid")
-    }
-
-    /// Configuration at an arbitrary scale.
-    #[deprecated(since = "0.10.0", note = "compose via `Study::builder().scale(..)` instead")]
-    pub fn at_scale(scale: Scale) -> Self {
-        Study::builder().scale(scale).build().expect("default builder config is valid")
-    }
-}
-
 /// Validated, fluent construction of a [`StudyConfig`].
 ///
 /// Every setter records its value; [`build`](StudyBuilder::build)
@@ -463,16 +449,6 @@ mod tests {
         assert_eq!(cfg.revalidation, Some(256));
         assert_eq!(cfg.memory_budget.ceiling_bytes(), Some(4 * (1u64 << 30)));
         assert!(cfg.journal_dir.is_some());
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_builder_defaults() {
-        #[allow(deprecated)]
-        let shim = StudyConfig::small();
-        let built = Study::builder().build().expect("valid");
-        assert_eq!(shim.workers, built.workers);
-        assert_eq!(shim.svm_corpus, built.svm_corpus);
-        assert_eq!(shim.world.seed, built.world.seed);
     }
 
     #[test]

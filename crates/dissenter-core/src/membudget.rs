@@ -1,11 +1,11 @@
 //! Peak-RSS accounting and the study memory budget.
 //!
 //! The paper-scale path promises `run_study` completes under a fixed
-//! peak-RSS ceiling (BENCH_SCALE's 4 GiB gate). [`MemoryBudget`] makes
-//! that promise enforceable in-process: the pipeline calls
-//! [`MemoryBudget::check`] at stage boundaries (and inside the synth
-//! stream), which reads the kernel's high-water mark and aborts the run
-//! with a diagnostic the moment the ceiling is crossed — a budget
+//! peak-RSS ceiling (the `scale` bench suite's 4 GiB gate).
+//! [`MemoryBudget`] makes that promise enforceable in-process: the
+//! pipeline calls [`MemoryBudget::check`] at stage boundaries (and inside
+//! the synth stream), which reads the kernel's high-water mark and aborts
+//! the run with a diagnostic the moment the ceiling is crossed — a budget
 //! violation fails loudly at the stage that caused it instead of
 //! surfacing as an OOM kill or a silently fat bench artifact.
 //!

@@ -121,7 +121,6 @@ impl Instrument {
 ///     .timeout(std::time::Duration::from_secs(2))
 ///     .keep_alive(true)
 ///     .metrics(&registry, "gab")
-///     .retry_policy(httpnet::RetryPolicy::default())
 ///     .revalidation_cache(httpnet::RevalidationCache::new(1024))
 ///     .build();
 /// # drop(client);
@@ -135,7 +134,6 @@ pub struct ClientBuilder {
     cookies: Vec<(String, String)>,
     inst: Option<Instrument>,
     reval: Option<RevalidationCache>,
-    policy: RetryPolicy,
     pool: Option<ConnPool>,
 }
 
@@ -176,12 +174,6 @@ impl ClientBuilder {
         self
     }
 
-    /// The retry policy [`Client::get_retrying`] schedules with.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Share a keep-alive [`ConnPool`] with other clients. Without this
     /// the client gets a private pool with default knobs.
     pub fn pool(mut self, pool: ConnPool) -> Self {
@@ -199,7 +191,6 @@ impl ClientBuilder {
             cookies: self.cookies,
             inst: self.inst,
             reval: self.reval,
-            policy: self.policy,
         }
     }
 }
@@ -214,7 +205,6 @@ pub struct Client {
     cookies: Vec<(String, String)>,
     inst: Option<Instrument>,
     reval: Option<RevalidationCache>,
-    policy: RetryPolicy,
 }
 
 impl fmt::Debug for Client {
@@ -225,8 +215,7 @@ impl fmt::Debug for Client {
 
 impl Client {
     /// Start building a client for `addr`. Defaults: 5-second timeout,
-    /// no keep-alive, no cookies, no metrics, no revalidation cache,
-    /// [`RetryPolicy::default`].
+    /// no keep-alive, no cookies, no metrics, no revalidation cache.
     pub fn builder(addr: SocketAddr) -> ClientBuilder {
         ClientBuilder {
             addr,
@@ -235,7 +224,6 @@ impl Client {
             cookies: Vec::new(),
             inst: None,
             reval: None,
-            policy: RetryPolicy::default(),
             pool: None,
         }
     }
@@ -428,13 +416,6 @@ impl Client {
         }
     }
 
-    /// Resilient GET scheduled by the retry policy configured at build
-    /// time ([`ClientBuilder::retry_policy`]).
-    pub fn get_retrying(&mut self, target: &str) -> Result<Response, ClientError> {
-        let policy = self.policy;
-        self.get_with_policy(target, &policy)
-    }
-
     /// Resilient GET over the persistent connection: retries on transport
     /// errors *and* on retryable statuses (5xx, 429 — a fault-injected
     /// server error is as transient as a dropped connection). The §4.3.1
@@ -482,45 +463,6 @@ impl Client {
             }
             if !delay.is_zero() {
                 std::thread::sleep(delay);
-            }
-        }
-        Err(last_err.expect("at least one attempt"))
-    }
-
-    /// [`Self::get_with_policy`] with the legacy `(retries, backoff)`
-    /// shape: `backoff` seeds the exponential schedule.
-    pub fn get_resilient(
-        &mut self,
-        target: &str,
-        retries: usize,
-        backoff: Duration,
-    ) -> Result<Response, ClientError> {
-        let policy = RetryPolicy {
-            max_retries: retries,
-            base_backoff: backoff,
-            ..RetryPolicy::default()
-        };
-        self.get_with_policy(target, &policy)
-    }
-
-    /// GET with `retries` extra attempts and fixed `backoff` between them —
-    /// the timeout-re-request loop of §4.3.1.
-    pub fn get_with_retries(
-        &self,
-        target: &str,
-        retries: usize,
-        backoff: Duration,
-    ) -> Result<Response, ClientError> {
-        let mut last_err = None;
-        for attempt in 0..=retries {
-            match self.get(target) {
-                Ok(r) => return Ok(r),
-                Err(e) => {
-                    last_err = Some(e);
-                    if attempt < retries && !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
             }
         }
         Err(last_err.expect("at least one attempt"))
@@ -623,9 +565,9 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(handler, cfg).unwrap();
-        let client = Client::builder(server.addr()).build();
+        let mut client = Client::builder(server.addr()).build();
         let resp = client
-            .get_with_retries("/x", 20, Duration::ZERO)
+            .get_with_policy("/x", &crate::retry::RetryPolicy::immediate(20))
             .expect("retries should eventually land");
         assert_eq!(resp.status, Status::OK);
     }
@@ -641,7 +583,7 @@ mod tests {
         };
         let server = Server::start(handler, cfg).unwrap();
         let mut client = Client::builder(server.addr()).build();
-        match client.get_resilient("/x", 2, Duration::ZERO) {
+        match client.get_with_policy("/x", &crate::retry::RetryPolicy::immediate(2)) {
             Err(ClientError::Http(r)) => assert_eq!(r.status, Status::INTERNAL),
             other => panic!("expected Http(500), got {other:?}"),
         }

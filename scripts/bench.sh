@@ -1,30 +1,33 @@
 #!/usr/bin/env bash
-# Run-stats bench: run one fixed-seed small-scale study end to end and
-# emit the machine-readable run report (stage wall-clocks, per-phase
-# crawl coverage, per-scorer throughput, full metric snapshot) as
-# BENCH_PR2.json in the repo root.
+# Run one bench suite and write its report to bench-results/<suite>.json.
+# The report lists every gate the suite checked (passed, failed, or
+# refused with a reason); the exit code is 1 if any gate failed and 2 on
+# bad usage. README.md's "Benchmarks" section describes each suite.
 #
-# Usage: scripts/bench.sh [extra runstats args, e.g. --scale 0.002]
+# Usage: scripts/bench.sh <study|transport|recovery|abuse|sweep|scale> [flags]
+#        (e.g. scripts/bench.sh scale --scale 0.1)
 set -euo pipefail
+
+case "${1:-}" in
+    study | transport | recovery | abuse | sweep | scale) suite=$1 ;;
+    *)
+        echo "usage: scripts/bench.sh <study|transport|recovery|abuse|sweep|scale> [flags]" >&2
+        exit 2
+        ;;
+esac
+shift
 cd "$(dirname "$0")/.."
 
-cargo run --release -p bench --bin runstats -- --out BENCH_PR2.json "$@"
+# The transport soak holds 10k sockets in the server process and another
+# 10k in a re-exec'd client subprocess.
+if [ "$suite" = transport ]; then
+    soft_limit="$(ulimit -n)"
+    if [ "$soft_limit" != "unlimited" ] && [ "$soft_limit" -lt 16384 ]; then
+        ulimit -n 16384 2>/dev/null || {
+            echo "bench.sh: ulimit -n is $soft_limit; transport needs >=16384" >&2
+            exit 1
+        }
+    fi
+fi
 
-# The artifact must parse and carry the headline sections.
-python3 - <<'EOF'
-import json
-with open("BENCH_PR2.json") as f:
-    report = json.load(f)
-for key in ("stages_us", "phases", "scorers", "metrics"):
-    assert key in report, f"BENCH_PR2.json missing {key!r}"
-assert report["phases"], "no crawl phases recorded"
-assert all(
-    p["attempted"] == p["succeeded"] + p["dead_lettered"]
-    for p in report["phases"].values()
-), "phase accounting out of balance"
-print("BENCH_PR2.json OK:",
-      f"{report['comments']} comments,",
-      f"{len(report['phases'])} phases,",
-      f"{len(report['scorers'])} scorers,",
-      f"wall {report['wall_ms']:.0f} ms")
-EOF
+exec cargo run --release -p bench --bin bench -- "$suite" "$@"

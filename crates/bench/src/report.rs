@@ -1,7 +1,8 @@
 //! The one report every bench suite emits, and the one flag parser every
 //! suite reads its options through.
 //!
-//! A [`BenchReport`] is `{suite, config, env: {cpus}, metrics, gates}`.
+//! A [`BenchReport`] is `{suite, config, env: {cpus, commit}, metrics,
+//! gates}`.
 //! `config` and `metrics` are free-form `jsonlite` objects; `gates` is the
 //! list of claims the run makes, each `{name, value, op, bound, status,
 //! reason}` and evaluated exactly once, here:
@@ -19,6 +20,7 @@
 
 use jsonlite::Value;
 use std::path::Path;
+use std::process::Command;
 use std::str::FromStr;
 
 /// The comparison a gate's value must satisfy against its bound.
@@ -107,6 +109,9 @@ pub struct BenchReport {
     pub config: Value,
     /// CPUs available to the process.
     pub cpus: usize,
+    /// Short hash of the checked-out commit, or `"unknown"` outside a git
+    /// checkout (see [`head_commit`]).
+    pub commit: String,
     /// Everything measured, gated or not.
     pub metrics: Value,
     /// The evaluated gates, in the order the suite checked them.
@@ -120,6 +125,7 @@ impl BenchReport {
             suite: suite.to_owned(),
             config,
             cpus: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            commit: head_commit(Path::new(".")),
             metrics: Value::object(),
             gates: Vec::new(),
         }
@@ -182,7 +188,7 @@ impl BenchReport {
         Value::object()
             .with("suite", self.suite.as_str())
             .with("config", self.config.clone())
-            .with("env", Value::object().with("cpus", self.cpus))
+            .with("env", Value::object().with("cpus", self.cpus).with("commit", &*self.commit))
             .with("metrics", self.metrics.clone())
             .with("gates", gates)
     }
@@ -220,11 +226,18 @@ impl BenchReport {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let cpus = field(&field(v, "env")?, "cpus")?.as_i64().ok_or("\"cpus\" not an integer")?;
+        let env = field(v, "env")?;
+        let cpus = field(&env, "cpus")?.as_i64().ok_or("\"cpus\" not an integer")?;
+        // Artifacts written before the commit was recorded lack the key.
+        let commit = match env.get("commit") {
+            None => UNKNOWN_COMMIT.to_owned(),
+            Some(c) => c.as_str().ok_or("\"commit\" not a string")?.to_owned(),
+        };
         Ok(BenchReport {
             suite: string(v, "suite")?,
             config: field(v, "config")?,
             cpus: cpus as usize,
+            commit,
             metrics: field(v, "metrics")?,
             gates,
         })
@@ -256,6 +269,24 @@ impl BenchReport {
         println!("{}: wrote {} ({} gates)", self.suite, path.display(), self.gates.len());
         Ok(self.exit_code())
     }
+}
+
+/// The `env.commit` of a report made outside a git checkout.
+pub const UNKNOWN_COMMIT: &str = "unknown";
+
+/// `git rev-parse --short HEAD` run in `dir`, or [`UNKNOWN_COMMIT`] when
+/// git is missing or `dir` is not inside a git checkout.
+pub fn head_commit(dir: &Path) -> String {
+    Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|hash| hash.trim().to_owned())
+        .filter(|hash| !hash.is_empty())
+        .unwrap_or_else(|| UNKNOWN_COMMIT.to_owned())
 }
 
 /// A suite's command line, checked against the flags it declares.

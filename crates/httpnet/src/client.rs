@@ -6,7 +6,7 @@
 //! rate-limit sleeps, §3.4).
 
 use crate::cache::RevalidationCache;
-use crate::cpool::ConnPool;
+use crate::cpool::{ConnPool, PooledConn};
 use crate::http::{read_response, write_request, Request, Response, Status, WireError};
 use crate::retry::{classify_status, parse_retry_after, RetryPolicy, StatusClass};
 use std::fmt;
@@ -496,9 +496,8 @@ impl Client {
     }
 
     fn send_fresh(&self, req: &Request) -> Result<Response, ClientError> {
-        let stream = self.connect()?;
-        let mut write_half = stream.try_clone().map_err(ClientError::Connect)?;
-        write_request(req, &mut write_half).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
+        let mut stream = self.connect()?;
+        write_request(req, &mut stream).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
         let mut reader = BufReader::new(stream);
         read_response(&mut reader).map_err(ClientError::Wire)
     }
@@ -506,19 +505,11 @@ impl Client {
     /// One request/response exchange on `conn`. On success the connection
     /// is checked back into the pool; on failure it is dropped (its wire
     /// state is unknown).
-    fn send_on_conn(
-        &self,
-        mut conn: BufReader<TcpStream>,
-        req: &Request,
-    ) -> Result<Response, ClientError> {
-        conn.get_ref()
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| ClientError::Wire(WireError::Io(e)))?;
-        {
-            let stream = conn.get_mut();
-            write_request(req, stream).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
-        }
-        match read_response(&mut conn) {
+    fn send_on_conn(&self, mut conn: PooledConn, req: &Request) -> Result<Response, ClientError> {
+        let io = |e| ClientError::Wire(WireError::Io(e));
+        conn.set_read_timeout(self.timeout).map_err(io)?;
+        write_request(req, conn.get_mut()).map_err(io)?;
+        match read_response(&mut *conn) {
             Ok(r) => {
                 self.pool.release(self.addr, conn);
                 Ok(r)
@@ -930,5 +921,32 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("http.ka.requests"), Some(4));
         assert_eq!(snap.histogram("http.ka.latency").unwrap().count, 4);
+    }
+
+    #[test]
+    fn clients_sharing_a_pool_each_get_their_own_read_timeout() {
+        let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
+        let server = Server::start(handler, ServerConfig::default()).unwrap();
+        let pool = ConnPool::default();
+        let client = |t| {
+            Client::builder(server.addr()).keep_alive(true).timeout(t).pool(pool.clone()).build()
+        };
+        let (slow, fast) = (Duration::from_secs(5), Duration::from_millis(700));
+        let mut clients = [client(slow), client(fast)];
+        // The socket's kernel timeout after each client's exchange on the
+        // one shared connection.
+        let parked_timeout = || {
+            let (conn, reused) = pool.acquire(server.addr(), slow).unwrap();
+            assert!(reused, "the exchange parked its connection");
+            let t = conn.get_ref().read_timeout().unwrap();
+            pool.release(server.addr(), conn);
+            t
+        };
+        // The patient client, then the hasty one, then the patient again.
+        for (i, want) in [(0, slow), (1, fast), (0, slow)] {
+            assert_eq!(clients[i].get_keep_alive("/").unwrap().text(), "pong");
+            assert_eq!(parked_timeout(), Some(want));
+        }
+        assert_eq!(pool.stats().open, 1, "all three exchanges shared one connection");
     }
 }

@@ -21,6 +21,9 @@
 //! * A checked-out connection is owned by the caller; only a successful
 //!   response should check it back in (a failed exchange leaves the
 //!   socket in an unknown wire state, so the caller must drop it).
+//! * A [`PooledConn`] remembers the read timeout last applied to its
+//!   socket, so clients sharing a pool each get their own timeout while
+//!   a reused connection pays the `setsockopt` only when it changes.
 //!
 //! Counters `pool.{reuse,open,evicted}` are always tracked internally
 //! (see [`ConnPool::stats`]) and mirrored into an [`obs::Registry`] when
@@ -30,6 +33,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,8 +67,44 @@ pub struct PoolStats {
     pub idle: usize,
 }
 
+/// A checked-out connection: the buffered stream plus the read timeout
+/// last applied to its socket. Set the timeout through
+/// [`PooledConn::set_read_timeout`] so the record stays true; the stream
+/// itself is reached through `Deref`.
+#[derive(Debug)]
+pub struct PooledConn {
+    reader: BufReader<TcpStream>,
+    read_timeout: Option<Duration>,
+}
+
+impl PooledConn {
+    /// Make `timeout` the socket's read timeout, calling into the kernel
+    /// only when it differs from the one last applied.
+    pub fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        if self.read_timeout != Some(timeout) {
+            self.reader.get_ref().set_read_timeout(Some(timeout))?;
+            self.read_timeout = Some(timeout);
+        }
+        Ok(())
+    }
+}
+
+impl Deref for PooledConn {
+    type Target = BufReader<TcpStream>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.reader
+    }
+}
+
+impl DerefMut for PooledConn {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.reader
+    }
+}
+
 struct IdleConn {
-    conn: BufReader<TcpStream>,
+    conn: PooledConn,
     since: Instant,
 }
 
@@ -138,7 +178,7 @@ impl ConnPool {
         &self,
         addr: SocketAddr,
         connect_timeout: Duration,
-    ) -> std::io::Result<(BufReader<TcpStream>, bool)> {
+    ) -> std::io::Result<(PooledConn, bool)> {
         if let Some(conn) = self.checkout_idle(addr) {
             return Ok((conn, true));
         }
@@ -152,20 +192,21 @@ impl ConnPool {
         &self,
         addr: SocketAddr,
         connect_timeout: Duration,
-    ) -> std::io::Result<BufReader<TcpStream>> {
+    ) -> std::io::Result<PooledConn> {
         let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
         let _ = stream.set_nodelay(true);
         self.inner.open.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.inner.metrics {
             m.open.inc();
         }
-        Ok(BufReader::new(stream))
+        // A fresh socket has no read timeout.
+        Ok(PooledConn { reader: BufReader::new(stream), read_timeout: None })
     }
 
     /// Return a healthy connection for later reuse. Dropped (and counted
     /// as evicted) when the host already holds `max_idle_per_host` idle
     /// connections.
-    pub fn release(&self, addr: SocketAddr, conn: BufReader<TcpStream>) {
+    pub fn release(&self, addr: SocketAddr, conn: PooledConn) {
         let mut dropped = 0u64;
         {
             let mut hosts = self.inner.hosts.lock();
@@ -215,7 +256,7 @@ impl ConnPool {
         }
     }
 
-    fn checkout_idle(&self, addr: SocketAddr) -> Option<BufReader<TcpStream>> {
+    fn checkout_idle(&self, addr: SocketAddr) -> Option<PooledConn> {
         let timeout = self.inner.config.idle_timeout;
         let now = Instant::now();
         let mut expired = 0u64;
@@ -348,6 +389,27 @@ mod tests {
         assert_eq!(snap.counter("pool.open"), Some(2));
         assert_eq!(snap.counter("pool.reuse"), Some(1));
         assert_eq!(snap.counter("pool.evicted"), Some(1));
+    }
+
+    #[test]
+    fn read_timeout_is_applied_only_when_it_changes() {
+        let server = pong_server();
+        let pool = ConnPool::new(PoolConfig::default());
+        let (mut conn, _) = pool.acquire(server.addr(), Duration::from_secs(1)).unwrap();
+        let (a, b) = (Duration::from_secs(3), Duration::from_secs(4));
+        conn.set_read_timeout(a).unwrap();
+        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(a));
+        // Change the socket behind the record's back: re-applying the
+        // recorded timeout is skipped, so the kernel keeps `b`.
+        conn.get_ref().set_read_timeout(Some(b)).unwrap();
+        conn.set_read_timeout(a).unwrap();
+        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(b), "unchanged timeout skipped");
+        // The record survives a trip through the pool.
+        pool.release(server.addr(), conn);
+        let (mut conn, reused) = pool.acquire(server.addr(), Duration::from_secs(1)).unwrap();
+        assert!(reused);
+        conn.set_read_timeout(a).unwrap();
+        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(b));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! Content-Length bodies — with hard caps on line length, header count,
 //! and body size so a misbehaving peer cannot exhaust server memory.
 
+use std::cell::Cell;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -266,27 +267,18 @@ impl Response {
     /// Total serialized size in bytes (status line + headers + body) — the
     /// quantity the §3.1 account-probe inspects.
     pub fn wire_size(&self) -> usize {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf).expect("vec write");
-        buf.len()
+        let mut head = Vec::new();
+        serialize_response_head(self, &mut head);
+        head.len() + self.body.len()
     }
 
-    /// Serialize to a writer (adds Content-Length and Connection headers
-    /// if absent).
+    /// Serialize to a writer (adds Content-Length if absent) as one
+    /// `write_all` of the whole message.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {}\r\n", self.status)?;
-        let mut has_len = false;
-        for (n, v) in self.headers.iter() {
-            if n.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        if !has_len {
-            write!(w, "Content-Length: {}\r\n", self.body.len())?;
-        }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)
+        write_once(w, |buf| {
+            serialize_response_head(self, buf);
+            buf.extend_from_slice(&self.body);
+        })
     }
 }
 
@@ -461,21 +453,21 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Response, WireError> {
     Ok(Response { status: Status(code), headers, body })
 }
 
-/// Serialize a request to a writer.
+/// Serialize a request — request line, headers (adding `Content-Length`
+/// when there is a body and none was set), blank line, body — into `buf`.
+pub fn serialize_request(req: &Request, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(req.method.as_bytes());
+    buf.push(b' ');
+    buf.extend_from_slice(req.target.as_bytes());
+    buf.extend_from_slice(b" HTTP/1.1\r\n");
+    serialize_headers(&req.headers, (!req.body.is_empty()).then_some(req.body.len()), buf);
+    buf.extend_from_slice(&req.body);
+}
+
+/// Serialize a request to a writer as one `write_all` of the whole
+/// message (see [`serialize_request`]).
 pub fn write_request<W: Write>(req: &Request, w: &mut W) -> std::io::Result<()> {
-    write!(w, "{} {} HTTP/1.1\r\n", req.method, req.target)?;
-    let mut has_len = false;
-    for (n, v) in req.headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            has_len = true;
-        }
-        write!(w, "{n}: {v}\r\n")?;
-    }
-    if !req.body.is_empty() && !has_len {
-        write!(w, "Content-Length: {}\r\n", req.body.len())?;
-    }
-    write!(w, "\r\n")?;
-    w.write_all(&req.body)
+    write_once(w, |buf| serialize_request(req, buf))
 }
 
 /// Serialize a response's status line and headers (adding
@@ -483,20 +475,51 @@ pub fn write_request<W: Write>(req: &Request, w: &mut W) -> std::io::Result<()> 
 /// server sends `[head, body]` as one vectored write instead of copying
 /// the body into a contiguous buffer.
 pub fn serialize_response_head(resp: &Response, buf: &mut Vec<u8>) {
-    use std::io::Write as _;
     // Writing into a Vec cannot fail.
     let _ = write!(buf, "HTTP/1.1 {}\r\n", resp.status);
+    serialize_headers(&resp.headers, Some(resp.body.len()), buf);
+}
+
+/// Header lines plus the blank line that ends the head. `body_len`, when
+/// given, is sent as `Content-Length` unless a header already sets it.
+fn serialize_headers(headers: &Headers, body_len: Option<usize>, buf: &mut Vec<u8>) {
     let mut has_len = false;
-    for (n, v) in resp.headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            has_len = true;
-        }
-        let _ = write!(buf, "{n}: {v}\r\n");
+    for (n, v) in headers.iter() {
+        has_len |= n.eq_ignore_ascii_case("content-length");
+        buf.extend_from_slice(n.as_bytes());
+        buf.extend_from_slice(b": ");
+        buf.extend_from_slice(v.as_bytes());
+        buf.extend_from_slice(b"\r\n");
     }
-    if !has_len {
-        let _ = write!(buf, "Content-Length: {}\r\n", resp.body.len());
+    if let (false, Some(len)) = (has_len, body_len) {
+        let _ = write!(buf, "Content-Length: {len}\r\n");
     }
     buf.extend_from_slice(b"\r\n");
+}
+
+/// Largest serialization buffer kept for the next message on a thread.
+const WIRE_BUF_RETAIN: usize = 64 * 1024;
+
+thread_local! {
+    /// Per-thread serialization buffer reused by [`write_once`].
+    static WIRE_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Serialize a whole message with `fill`, then hand it to `w` in one
+/// `write_all`. Formatting straight into an unbuffered socket would turn
+/// every fragment into its own `write(2)` — and, under `TCP_NODELAY`,
+/// its own segment that wakes the peer for a partial parse.
+fn write_once<W: Write>(w: &mut W, fill: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+    WIRE_BUF.with(|cell| {
+        let mut buf = cell.take();
+        buf.clear();
+        fill(&mut buf);
+        let result = w.write_all(&buf);
+        if buf.capacity() <= WIRE_BUF_RETAIN {
+            cell.set(buf);
+        }
+        result
+    })
 }
 
 /// Incremental request parse straight off a connection's read buffer.
@@ -826,6 +849,78 @@ mod tests {
         let mut reassembled = head.clone();
         reassembled.extend_from_slice(&resp.body);
         assert_eq!(reassembled, full, "head + body must equal the streamed form");
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn sent_request(req: &Request) -> CountingWriter {
+        let mut w = CountingWriter::default();
+        write_request(req, &mut w).unwrap();
+        let mut buf = Vec::new();
+        serialize_request(req, &mut buf);
+        assert_eq!(w.bytes, buf, "write_request sends exactly serialize_request's bytes");
+        w
+    }
+
+    #[test]
+    fn conditional_get_is_one_write_with_pinned_bytes() {
+        let mut req = Request::get("/c/abc?page=2");
+        req.headers.add("Host", "sim.local");
+        req.headers.add("Cookie", "session=tok; nsfw=1");
+        req.headers.add("If-None-Match", "\"00ff\"");
+        let w = sent_request(&req);
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"GET /c/abc?page=2 HTTP/1.1\r\nHost: sim.local\r\nCookie: session=tok; nsfw=1\r\n\
+              If-None-Match: \"00ff\"\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn request_body_gets_content_length_in_one_write() {
+        let mut req = Request::get("/submit");
+        req.method = "POST".into();
+        req.headers.add("Host", "sim.local");
+        req.body = b"url=a%2Fb".to_vec();
+        let w = sent_request(&req);
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"POST /submit HTTP/1.1\r\nHost: sim.local\r\nContent-Length: 9\r\n\r\nurl=a%2Fb"
+        );
+    }
+
+    #[test]
+    fn response_keeps_caller_content_length_in_one_write() {
+        let mut resp = Response::status(Status::OK);
+        resp.headers.add("Content-Type", "text/plain");
+        resp.headers.add("Content-Length", "5");
+        resp.body = b"hello".to_vec();
+        let mut w = CountingWriter::default();
+        resp.write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1);
+        let expected: &[u8] =
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(w.bytes, expected);
+        assert_eq!(resp.wire_size(), expected.len());
     }
 
     #[test]

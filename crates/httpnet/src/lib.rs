@@ -50,7 +50,7 @@ pub mod sys;
 
 pub use cache::{CacheConfig, ResponseCache, RevalidationCache};
 pub use client::{Client, ClientBuilder, ClientError};
-pub use cpool::{ConnPool, PoolConfig, PoolStats};
+pub use cpool::{ConnPool, PoolConfig, PoolStats, PooledConn};
 pub use fault::{FaultAction, FaultConfig, FaultInjector};
 pub use http::{format_etag, if_none_match, Headers, Request, Response, Status};
 pub use log::{AccessEntry, AccessLog};

@@ -454,10 +454,10 @@ impl Reactor {
         conn.body.clear();
         conn.written = 0;
         conn.pending_log = None;
-        match (&resp, &raw) {
+        let staged = resp.is_some() || raw.is_some();
+        match (resp, raw) {
             (Some(resp), _) => {
-                serialize_response_head(resp, &mut conn.head);
-                conn.body = resp.body.clone();
+                serialize_response_head(&resp, &mut conn.head);
                 conn.pending_log = Some(PendingLog {
                     method: req.method,
                     target: req.target,
@@ -466,13 +466,14 @@ impl Reactor {
                     started,
                     counted,
                 });
+                conn.body = resp.body;
             }
-            (None, Some(bytes)) => conn.head.extend_from_slice(bytes),
+            (None, Some(bytes)) => conn.head.extend_from_slice(&bytes),
             (None, None) => {}
         }
         // A handler panic leaves no response and no raw bytes: confine it
         // by dropping the connection, like the old worker pool did.
-        if resp.is_none() && raw.is_none() && !kill {
+        if !staged && !kill {
             self.close(token);
             return;
         }

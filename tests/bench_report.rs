@@ -3,7 +3,7 @@
 //! `bench-results/*.json` is a well-formed report, and how
 //! `scripts/bench.sh` rejects bad usage.
 
-use bench::report::{Args, BenchReport, Op, Status};
+use bench::report::{head_commit, Args, BenchReport, Op, Status, UNKNOWN_COMMIT};
 use jsonlite::Value;
 use std::path::Path;
 
@@ -63,6 +63,40 @@ fn a_report_round_trips_through_jsonlite() {
     let text = jsonlite::to_string_pretty(&r.to_json());
     let back = BenchReport::from_json(&jsonlite::parse(&text).expect("valid JSON"));
     assert_eq!(back, Ok(r));
+}
+
+#[test]
+fn a_report_records_the_commit_it_ran_on() {
+    let is_short_hash = |c: &str| c.len() >= 4 && c.bytes().all(|b| b.is_ascii_hexdigit());
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let commit = head_commit(repo);
+    if repo.join(".git").exists() {
+        assert!(is_short_hash(&commit), "{commit:?}");
+    } else {
+        assert!(commit == UNKNOWN_COMMIT || is_short_hash(&commit), "{commit:?}");
+    }
+    let outside = std::env::temp_dir().join(format!("bench-report-no-git-{}", std::process::id()));
+    std::fs::create_dir_all(&outside).expect("temp dir");
+    let unknown = head_commit(&outside);
+    std::fs::remove_dir_all(&outside).expect("temp dir removed");
+    assert_eq!(unknown, UNKNOWN_COMMIT, "no checkout, no hash");
+    let r = report();
+    let json = r.to_json();
+    let written = json.get("env").and_then(|env| env.get("commit")).and_then(Value::as_str);
+    assert_eq!(written, Some(r.commit.as_str()), "env.commit is written");
+}
+
+#[test]
+fn an_artifact_without_a_commit_still_parses() {
+    let old = Value::object()
+        .with("suite", "t")
+        .with("config", Value::object())
+        .with("env", Value::object().with("cpus", 2u64))
+        .with("metrics", Value::object())
+        .with("gates", Vec::<Value>::new());
+    let parsed = BenchReport::from_json(&old).expect("a pre-commit artifact parses");
+    assert_eq!(parsed.commit, UNKNOWN_COMMIT);
+    assert_eq!(parsed.cpus, 2);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Microbenchmarks for the substrate crates: identifiers, JSON, text
-//! processing, statistics, and graph algorithms.
+//! processing, statistics, graph algorithms, and the HTTP wire codec.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ids::{EntityKind, ObjectIdGen};
@@ -115,5 +115,86 @@ fn bench_graph(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ids, bench_json, bench_textkit, bench_stats, bench_graph);
+/// A crawl GET as the crawler sends it: session cookie, conditional
+/// validator.
+fn crawl_get(i: usize) -> httpnet::Request {
+    let mut req = httpnet::Request::get(&format!("/url/5c780b19aabbccddeeff{i:04x}"));
+    req.headers.add("Host", "sim.local");
+    req.headers.add("Cookie", "session=crawler:nsfw");
+    req.headers.add("If-None-Match", &httpnet::format_etag(0x5c78_0b19_aabb_0000 + i as u64));
+    req
+}
+
+/// An HTML page of `len` bytes with the fronts' headers.
+fn page(len: usize) -> httpnet::Response {
+    let row = r#"<li class="comment" data-comment-id="5c780b19aabbccddeeff0066">free speech &amp; more</li>"#;
+    let mut html = row.repeat(len / row.len() + 1);
+    html.truncate(len);
+    let mut resp = httpnet::Response::html(html);
+    resp.headers.add("ETag", &httpnet::format_etag(0xabcd));
+    resp
+}
+
+/// The HTTP/1.1 codec apart from any socket: serialize then parse, for a
+/// crawl GET, a 1 KB comment page, an 11 KB home page, and one
+/// pipelined batch of eight GETs and their comment pages.
+fn bench_wire(c: &mut Criterion) {
+    use httpnet::http::{parse_request, read_response, serialize_request, serialize_response_head};
+    let mut g = c.benchmark_group("wire");
+    let get = crawl_get(0);
+    let mut buf = Vec::new();
+    g.bench_function("request_crawl_get", |b| {
+        b.iter(|| {
+            buf.clear();
+            serialize_request(&get, &mut buf);
+            black_box(parse_request(&buf).unwrap())
+        });
+    });
+    for (name, len) in [("response_comment_page_1k", 1_100), ("response_home_page_11k", 11 * 1024)] {
+        let resp = page(len);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                buf.clear();
+                serialize_response_head(&resp, &mut buf);
+                buf.extend_from_slice(&resp.body);
+                black_box(read_response(&mut &buf[..]).unwrap())
+            });
+        });
+    }
+    let gets: Vec<httpnet::Request> = (0..8).map(crawl_get).collect();
+    let pages: Vec<httpnet::Response> = (0..8).map(|_| page(1_100)).collect();
+    g.throughput(Throughput::Elements(8));
+    g.bench_function("pipelined_batch_8", |b| {
+        b.iter(|| {
+            buf.clear();
+            gets.iter().for_each(|req| serialize_request(req, &mut buf));
+            let mut pos = 0;
+            while let Some((req, used)) = parse_request(&buf[pos..]).unwrap() {
+                black_box(req);
+                pos += used;
+            }
+            buf.clear();
+            for resp in &pages {
+                serialize_response_head(resp, &mut buf);
+                buf.extend_from_slice(&resp.body);
+            }
+            let mut reader = &buf[..];
+            for _ in &pages {
+                black_box(read_response(&mut reader).unwrap());
+            }
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ids,
+    bench_json,
+    bench_textkit,
+    bench_stats,
+    bench_graph,
+    bench_wire
+);
 criterion_main!(benches);

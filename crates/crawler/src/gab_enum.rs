@@ -25,18 +25,18 @@ const BLOCK: u64 = 4_096;
 pub fn enumerate(crawler: &Crawler, store: &mut CrawlStore) {
     let run = PhaseRun::new(crawler, Phase::GabEnum);
     let fetch_ids = |ids: &[u64], store: &CrawlStore| -> Vec<GabAccount> {
-        crate::parallel::parallel_fetch(
+        crate::parallel::parallel_get(
+            &run,
+            store,
             crawler.endpoints.gab,
             ids,
-            crawler.config.workers,
-            &store.stats,
             |c| run.setup_client(c),
-            |client, &id| {
-                let resp = run.fetch(client, store, &format!("/api/v1/accounts/{id}"))?;
+            |id| format!("/api/v1/accounts/{id}"),
+            |&id, resp| {
                 if !resp.status.is_success() {
                     return None;
                 }
-                let v = jsonlite::parse(&resp.text()).ok()?;
+                let v = jsonlite::parse(&String::from_utf8_lossy(&resp.body)).ok()?;
                 Some(GabAccount {
                     gab_id: id,
                     username: v.get("username")?.as_str()?.to_owned(),

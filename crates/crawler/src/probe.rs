@@ -32,14 +32,14 @@ pub fn probe_dissenter_accounts(crawler: &Crawler, store: &mut CrawlStore) {
             .collect(),
         None => store.gab_accounts.iter().map(|a| a.username.clone()).collect(),
     };
-    let mut hits = crate::parallel::parallel_fetch(
+    let mut hits = crate::parallel::parallel_get(
+        &run,
+        store,
         crawler.endpoints.dissenter,
         &usernames,
-        crawler.config.workers,
-        &store.stats,
         |c| run.setup_client(c),
-        |client, name| {
-            let resp = run.fetch(client, store, &format!("/user/{name}"))?;
+        |name| format!("/user/{name}"),
+        |name, resp| {
             // Classification is purely by body size — deliberately NOT by
             // status code, mirroring the paper's inference.
             (resp.body.len() >= SIZE_THRESHOLD).then(|| name.clone())

@@ -25,7 +25,8 @@
 use crate::store::{CrawlStore, DeadLetter};
 use crate::Crawler;
 use httpnet::{
-    classify_status, parse_retry_after_detailed, Client, Response, RetryPolicy, StatusClass,
+    classify_status, parse_retry_after_detailed, Client, ClientError, Response, RetryPolicy,
+    StatusClass,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -201,6 +202,11 @@ impl CircuitBreaker {
         })
     }
 
+    /// Is the breaker closed (healthy)?
+    pub fn is_closed(&self) -> bool {
+        self.with_state(|state| matches!(state, BreakerState::Closed { .. }))
+    }
+
     /// The state name, for tests and debug output.
     pub fn state_name(&self) -> &'static str {
         self.with_state(|state| match state {
@@ -320,6 +326,11 @@ impl<'a> PhaseRun<'a> {
         self.phase
     }
 
+    /// Worker threads per phase.
+    pub(crate) fn workers(&self) -> usize {
+        self.crawler.config.workers
+    }
+
     /// Retry budget left for this phase.
     pub fn budget_remaining(&self) -> usize {
         self.budget.load(Ordering::Relaxed)
@@ -342,24 +353,103 @@ impl<'a> PhaseRun<'a> {
     /// Non-2xx statuses other than 429/5xx are *delivered*, not
     /// retried — a 404 is a data point to this crawler (§3.1).
     pub fn fetch(&self, client: &mut Client, store: &CrawlStore, target: &str) -> Option<Response> {
-        let cfg = &self.crawler.config;
+        self.fetch_one(client, store, target, &mut 1)
+    }
+
+    /// Logical fetches for `targets`, one answer per target, in order.
+    /// While `*depth > 1` and the endpoint's breaker is closed, their
+    /// first attempts go out pipelined on one connection
+    /// ([`Client::get_pipelined`]); otherwise they go one at a time,
+    /// exactly as [`PhaseRun::fetch`]. Every first attempt that is not
+    /// delivered continues through the same retry loop as
+    /// [`PhaseRun::fetch`], and any 429, 5xx or wire error sets `*depth`
+    /// to 1, so a throttled or failing worker keeps one request in
+    /// flight from then on.
+    pub fn fetch_batch(
+        &self,
+        client: &mut Client,
+        store: &CrawlStore,
+        targets: &[String],
+        depth: &mut usize,
+    ) -> Vec<Option<Response>> {
+        let breaker = self.crawler.breakers.get(self.phase.service());
+        if *depth < 2 || targets.len() < 2 || !breaker.is_closed() {
+            return targets.iter().map(|t| self.fetch_one(client, store, t, depth)).collect();
+        }
+        let admitted: Vec<bool> = targets.iter().map(|t| self.admit(store, t)).collect();
+        let sent: Vec<&str> =
+            targets.iter().zip(&admitted).filter(|(_, ok)| **ok).map(|(t, _)| t.as_str()).collect();
+        let mut answers = client.get_pipelined(&sent).into_iter();
+        let answered = self.now();
+        targets
+            .iter()
+            .zip(admitted)
+            .map(|(target, ok)| {
+                if !ok {
+                    return None;
+                }
+                let first = answers.next()?;
+                self.settle(client, store, target, Some((first, answered)), depth)
+            })
+            .collect()
+    }
+
+    /// [`PhaseRun::fetch`], lowering `*depth` to 1 on trouble.
+    fn fetch_one(
+        &self,
+        client: &mut Client,
+        store: &CrawlStore,
+        target: &str,
+        depth: &mut usize,
+    ) -> Option<Response> {
+        if !self.admit(store, target) {
+            return None;
+        }
+        self.settle(client, store, target, None, depth)
+    }
+
+    /// Start a logical fetch: count it attempted and consult the
+    /// endpoint's breaker. A rejected fetch is dead-lettered here.
+    fn admit(&self, store: &CrawlStore, target: &str) -> bool {
         let stats = store.stats.phase(self.phase);
         stats.add_attempted();
         self.metrics.attempted.inc();
 
         let breaker = self.crawler.breakers.get(self.phase.service());
-        if !self.observe_breaker(breaker, || breaker.allow()) {
-            stats.add_dead_lettered();
-            self.metrics.dead_lettered.inc();
-            store.stats.add_failure();
-            store.push_dead_letter(DeadLetter {
-                phase: self.phase,
-                target: target.to_owned(),
-                cause: "circuit open".to_owned(),
-            });
-            return None;
+        if self.observe_breaker(breaker, || breaker.allow()) {
+            return true;
         }
+        stats.add_dead_lettered();
+        self.metrics.dead_lettered.inc();
+        store.stats.add_failure();
+        store.push_dead_letter(DeadLetter {
+            phase: self.phase,
+            target: target.to_owned(),
+            cause: "circuit open".to_owned(),
+        });
+        false
+    }
 
+    /// Seconds on the clock rate-limit resets refer to: the simulated
+    /// clock when one is attached, else the wall.
+    fn now(&self) -> u64 {
+        self.crawler.clock().map_or_else(wall_secs, |clock| clock.now())
+    }
+
+    /// The retry loop of an admitted logical fetch. `first` is the answer
+    /// to a first attempt already sent (pipelined), with the time it was
+    /// read; without it the first attempt is sent here.
+    fn settle(
+        &self,
+        client: &mut Client,
+        store: &CrawlStore,
+        target: &str,
+        mut first: Option<(Result<Response, ClientError>, u64)>,
+        depth: &mut usize,
+    ) -> Option<Response> {
+        let cfg = &self.crawler.config;
+        let stats = store.stats.phase(self.phase);
+        let breaker = self.crawler.breakers.get(self.phase.service());
         let policy = RetryPolicy {
             max_retries: cfg.retries,
             base_backoff: cfg.backoff,
@@ -371,7 +461,11 @@ impl<'a> PhaseRun<'a> {
         let mut throttles = 0usize; // 429s
         loop {
             store.stats.add_requests(1);
-            let (cause, wait) = match client.get_keep_alive(target) {
+            let (answer, answered) = match first.take() {
+                Some(first) => first,
+                None => (client.get_keep_alive(target), self.now()),
+            };
+            let (cause, wait) = match answer {
                 Ok(resp) => match classify_status(resp.status) {
                     StatusClass::Deliver => {
                         self.observe_breaker(breaker, || breaker.record_success());
@@ -382,18 +476,21 @@ impl<'a> PhaseRun<'a> {
                         return Some(resp);
                     }
                     StatusClass::Throttled => {
+                        *depth = 1;
                         throttles += 1;
                         if throttles > cfg.retries + THROTTLE_GRACE {
                             return self.dead_letter(store, breaker, target, "throttled beyond grace (429)");
                         }
                         store.stats.add_rate_limit_sleep();
                         self.metrics.throttle_sleeps.inc();
-                        let now = match self.crawler.clock() {
-                            Some(clock) => clock.now(),
-                            None => wall_secs(),
-                        };
-                        let (wait, clamped) =
-                            throttle_delay(&resp, &policy, throttles - 1, &mut rng, now);
+                        let (wait, clamped) = throttle_delay(
+                            &resp,
+                            &policy,
+                            throttles - 1,
+                            &mut rng,
+                            answered,
+                            self.now(),
+                        );
                         if clamped {
                             self.metrics.retry_after_clamped.inc();
                         }
@@ -418,6 +515,7 @@ impl<'a> PhaseRun<'a> {
                     (e.to_string(), wait)
                 }
             };
+            *depth = 1;
             failures += 1;
             if failures > cfg.retries || started.elapsed() > policy.max_elapsed {
                 return self.dead_letter(store, breaker, target, &cause);
@@ -496,9 +594,12 @@ fn wall_secs() -> u64 {
 /// `max_backoff`), then `X-RateLimit-Reset` (absolute seconds on the
 /// caller's clock, the Gab/Dissenter convention — waited out **in
 /// full**, exactly like the paper's sleep-until-reset loop), then the
-/// computed backoff. `now` is the current instant *on whichever clock
-/// the server's reset refers to*: wall seconds normally, the shared
-/// [`platform::SimClock`] under a longitudinal sweep.
+/// computed backoff. `answered` (when the 429 was read) and `now` are
+/// instants *on whichever clock the server's reset refers to*: wall
+/// seconds normally, the shared [`platform::SimClock`] under a
+/// longitudinal sweep. The reset wait runs from `answered`, so a 429
+/// that sat in a pipelined batch while an earlier item waited out its
+/// own reset has already served that part of its wait.
 ///
 /// Waiting to the advertised reset, rather than probing in short
 /// slices, is what keeps a fetch's *outcome* independent of where in
@@ -512,6 +613,7 @@ fn throttle_delay(
     policy: &RetryPolicy,
     throttle_no: usize,
     rng: &mut rand::rngs::StdRng,
+    answered: u64,
     now: u64,
 ) -> (Duration, bool) {
     if let Some(ra) = parse_retry_after_detailed(resp) {
@@ -521,8 +623,9 @@ fn throttle_delay(
         // +1 covers sub-second truncation on both clocks: waiting to
         // the reset's second boundary can still land inside the old
         // window.
-        let wait = Duration::from_secs(reset.saturating_sub(now).max(1) + 1);
-        return (wait.min(MAX_RESET_WAIT), wait > MAX_RESET_WAIT);
+        let wait = Duration::from_secs(reset.saturating_sub(answered).max(1) + 1);
+        let waited = Duration::from_secs(now.saturating_sub(answered));
+        return (wait.min(MAX_RESET_WAIT).saturating_sub(waited), wait > MAX_RESET_WAIT);
     }
     (policy.backoff(throttle_no, rng), false)
 }
@@ -580,6 +683,19 @@ mod tests {
             b.record_success();
         }
         assert_eq!(b.state_name(), "closed", "non-consecutive failures never open");
+    }
+
+    #[test]
+    fn a_reset_wait_runs_from_when_the_429_was_read() {
+        let mut resp = Response::status(httpnet::Status::TOO_MANY);
+        resp.headers.add("X-RateLimit-Reset", "100");
+        let policy = RetryPolicy::default();
+        let mut rng = policy.jitter_rng();
+        let mut wait = |answered, now| throttle_delay(&resp, &policy, 0, &mut rng, answered, now).0;
+        assert_eq!(wait(95, 95), Duration::from_secs(6), "fresh: to the reset, plus one");
+        assert_eq!(wait(95, 98), Duration::from_secs(3), "read before a 3 s wait elsewhere");
+        assert_eq!(wait(99, 99), Duration::from_secs(2));
+        assert_eq!(wait(99, 102), Duration::ZERO, "the window turned over while it sat");
     }
 
     #[test]

@@ -25,13 +25,33 @@ pub fn extract_attr_all(html: &str, attr: &str) -> Vec<String> {
     out
 }
 
-/// First occurrence of `attr="…"`.
+/// The value of the first occurrence of `attr="…"` in `html`, borrowed.
+/// The scan stops at that occurrence: it walks the `="` openers and takes
+/// the first one preceded by `attr`, which is exactly where the first
+/// `attr="` starts, even when `attr` overlaps itself in the text.
+pub fn attr_value<'a>(html: &'a str, attr: &str) -> Option<&'a str> {
+    let mut from = 0;
+    while let Some(pos) = html[from..].find("=\"") {
+        let eq = from + pos;
+        let value = &html[eq + 2..];
+        if html[..eq].ends_with(attr) {
+            return value.find('"').map(|end| &value[..end]);
+        }
+        from = eq + 2;
+    }
+    None
+}
+
+/// First occurrence of `attr="…"`, owned (see [`attr_value`]).
 pub fn extract_attr(html: &str, attr: &str) -> Option<String> {
-    extract_attr_all(html, attr).into_iter().next()
+    attr_value(html, attr).map(str::to_owned)
 }
 
 /// Undo the front-end's HTML escaping.
 pub fn html_unescape(s: &str) -> String {
+    if !s.contains('&') {
+        return s.to_owned();
+    }
     s.replace("&quot;", "\"").replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
 }
 
@@ -56,19 +76,18 @@ pub fn scrape_comments(html: &str) -> Vec<ScrapedComment> {
     for block in html.split("<li class=\"comment\"").skip(1) {
         let end = block.find("</li>").unwrap_or(block.len());
         let block = &block[..end];
-        let Some(id) = extract_attr(block, "data-comment-id").and_then(|s| s.parse().ok()) else {
+        let Some(id) = attr_value(block, "data-comment-id").and_then(|s| s.parse().ok()) else {
             continue;
         };
-        let Some(author_id) = extract_attr(block, "data-author-id").and_then(|s| s.parse().ok())
+        let Some(author_id) = attr_value(block, "data-author-id").and_then(|s| s.parse().ok())
         else {
             continue;
         };
-        let parent = extract_attr(block, "data-parent")
+        let parent = attr_value(block, "data-parent")
             .filter(|s| !s.is_empty())
             .and_then(|s| s.parse().ok());
-        let created_at = extract_attr(block, "data-created")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
+        let created_at =
+            attr_value(block, "data-created").and_then(|s| s.parse().ok()).unwrap_or(0);
         let text = block
             .find("<p>")
             .and_then(|s| block[s + 3..].find("</p>").map(|e| &block[s + 3..s + 3 + e]))
@@ -124,6 +143,55 @@ mod tests {
         assert_eq!(extract_attr_all(html, "data-x"), vec!["1", "two"]);
         assert_eq!(extract_attr(html, "data-x").as_deref(), Some("1"));
         assert!(extract_attr(html, "data-y").is_none());
+    }
+
+    #[test]
+    fn attr_value_is_the_first_match_and_borrows() {
+        let html = r#"<a data-x="1" data-x="2"></a>"#;
+        let v = attr_value(html, "data-x").expect("present");
+        assert_eq!(v, "1");
+        assert!(std::ptr::eq(v.as_ptr(), html[html.find('1').unwrap()..].as_ptr()));
+        // Like the needle search, a match may start inside a longer name
+        // (`xdata-x`) but never end inside one (`data-xy`).
+        assert_eq!(attr_value(r#"<a xdata-x="0" data-x="1">"#, "data-x"), Some("0"));
+        assert_eq!(attr_value(r#"<a data-xy="0" data-x="1">"#, "data-x"), Some("1"));
+        // An unterminated value yields nothing, like the needle search.
+        assert_eq!(attr_value(r#"<a data-x="open"#, "data-x"), None);
+        assert_eq!(attr_value("", "data-x"), None);
+    }
+
+    #[test]
+    fn attr_value_finds_a_self_overlapping_prefix() {
+        // `data-created` overlaps itself here: a scan that resumed past a
+        // failed candidate would miss the real attribute.
+        let html = r#"<li data-createdata-created="1">"#;
+        assert_eq!(attr_value(html, "data-created"), Some("1"));
+        assert_eq!(extract_attr(html, "data-created").as_deref(), Some("1"));
+        assert_eq!(attr_value(r#"aab="v""#, "ab"), Some("v"));
+    }
+
+    #[test]
+    fn attr_value_agrees_with_the_first_needle_match() {
+        let pages = [
+            r#"<a data-x="1"></a><b data-x="two"></b>"#,
+            r#"<a data-y="3" data-x=""></a>"#,
+            r#"data-x="a"data-x="b""#,
+            r#"<x data-x=1 data-x="q">"#,
+            r#"<é data-x="ü">"#,
+        ];
+        for html in pages {
+            assert_eq!(
+                attr_value(html, "data-x").map(str::to_owned),
+                extract_attr_all(html, "data-x").into_iter().next(),
+                "{html}"
+            );
+        }
+    }
+
+    #[test]
+    fn unescape_without_entities_is_unchanged() {
+        assert_eq!(html_unescape("plain text <b>"), "plain text <b>");
+        assert_eq!(html_unescape(""), "");
     }
 
     #[test]

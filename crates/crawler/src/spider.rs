@@ -23,19 +23,19 @@ use std::collections::{HashMap, HashSet};
 
 /// Crawl one user home page into a [`CrawledUser`] (no hidden meta yet).
 fn parse_user_page(username: &str, html: &str) -> Option<CrawledUser> {
-    let author_id: ObjectId = scrape::extract_attr(html, "data-author-id")?.parse().ok()?;
+    let author_id: ObjectId = scrape::attr_value(html, "data-author-id")?.parse().ok()?;
     let display_name = html
         .find("<h2>")
-        .and_then(|s| html[s + 4..].find("</h2>").map(|e| html[s + 4..s + 4 + e].to_owned()))
-        .map(|s| scrape::html_unescape(&s))
+        .and_then(|s| html[s + 4..].find("</h2>").map(|e| &html[s + 4..s + 4 + e]))
+        .map(scrape::html_unescape)
         .unwrap_or_default();
     let bio = html
         .find("<p class=\"bio\">")
         .and_then(|s| {
             let s = s + "<p class=\"bio\">".len();
-            html[s..].find("</p>").map(|e| html[s..s + e].to_owned())
+            html[s..].find("</p>").map(|e| &html[s..s + e])
         })
-        .map(|s| scrape::html_unescape(&s))
+        .map(scrape::html_unescape)
         .unwrap_or_default();
     let url_ids: Vec<ObjectId> = scrape::extract_attr_all(html, "data-commenturl-id")
         .into_iter()
@@ -57,43 +57,42 @@ fn crawl_users(
     run: &PhaseRun<'_>,
     names: &[String],
 ) -> Vec<CrawledUser> {
-    crate::parallel::parallel_fetch(
+    crate::parallel::parallel_get(
+        run,
+        store,
         crawler.endpoints.dissenter,
         names,
-        crawler.config.workers,
-        &store.stats,
         |c| run.setup_client(c),
-        |client, name| {
-            let resp = run.fetch(client, store, &format!("/user/{name}"))?;
+        |name| format!("/user/{name}"),
+        |name, resp| {
             if !resp.status.is_success() {
                 return None;
             }
-            parse_user_page(name, &resp.text())
+            parse_user_page(name, &String::from_utf8_lossy(&resp.body))
         },
     )
 }
 
 /// Parse a comment page body into the thread record plus its comments.
 pub fn parse_comment_page(html: &str) -> Option<(CrawledUrl, Vec<scrape::ScrapedComment>)> {
-    let id: ObjectId = scrape::extract_attr(html, "data-commenturl-id")?.parse().ok()?;
-    let url = scrape::html_unescape(&scrape::extract_attr(html, "data-url")?);
+    let id: ObjectId = scrape::attr_value(html, "data-commenturl-id")?.parse().ok()?;
+    let url = scrape::html_unescape(scrape::attr_value(html, "data-url")?);
     let title = html
         .find("<title>")
-        .and_then(|s| html[s + 7..].find("</title>").map(|e| html[s + 7..s + 7 + e].to_owned()))
-        .map(|s| scrape::html_unescape(&s))
+        .and_then(|s| html[s + 7..].find("</title>").map(|e| &html[s + 7..s + 7 + e]))
+        .map(scrape::html_unescape)
         .unwrap_or_default();
     let description = html
         .find("<p class=\"description\">")
         .and_then(|s| {
             let s = s + "<p class=\"description\">".len();
-            html[s..].find("</p>").map(|e| html[s..s + e].to_owned())
+            html[s..].find("</p>").map(|e| &html[s..s + e])
         })
-        .map(|s| scrape::html_unescape(&s))
+        .map(scrape::html_unescape)
         .unwrap_or_default();
-    let upvotes = scrape::extract_attr(html, "data-upvotes")?.parse().ok()?;
-    let downvotes = scrape::extract_attr(html, "data-downvotes")?.parse().ok()?;
-    let declared_comment_count =
-        scrape::extract_attr(html, "data-comment-count")?.parse().ok()?;
+    let upvotes = scrape::attr_value(html, "data-upvotes")?.parse().ok()?;
+    let downvotes = scrape::attr_value(html, "data-downvotes")?.parse().ok()?;
+    let declared_comment_count = scrape::attr_value(html, "data-comment-count")?.parse().ok()?;
     let comments = scrape::scrape_comments(html);
     Some((
         CrawledUrl { id, url, title, description, upvotes, downvotes, declared_comment_count },
@@ -109,23 +108,23 @@ fn crawl_pass(
     url_ids: &[ObjectId],
     session: Option<&str>,
 ) -> Vec<(CrawledUrl, Vec<scrape::ScrapedComment>)> {
-    crate::parallel::parallel_fetch(
+    crate::parallel::parallel_get(
+        run,
+        store,
         crawler.endpoints.dissenter,
         url_ids,
-        crawler.config.workers,
-        &store.stats,
         |client| {
             run.setup_client(client);
             if let Some(s) = session {
                 client.set_cookie("session", s);
             }
         },
-        |client, id| {
-            let resp = run.fetch(client, store, &format!("/url/{id}"))?;
+        |id| format!("/url/{id}"),
+        |_, resp| {
             if !resp.status.is_success() {
                 return None;
             }
-            parse_comment_page(&resp.text())
+            parse_comment_page(&String::from_utf8_lossy(&resp.body))
         },
     )
 }
@@ -267,23 +266,23 @@ pub fn discover_metadata_and_ghosts(
         v.sort();
         v
     };
-    let metas = crate::parallel::parallel_fetch(
+    let metas = crate::parallel::parallel_get(
+        run,
+        store,
         crawler.endpoints.dissenter,
         &author_samples,
-        crawler.config.workers,
-        &store.stats,
         |client| {
             run.setup_client(client);
             if let Some(s) = session {
                 client.set_cookie("session", s);
             }
         },
-        |client, &(author, cid)| {
-            let resp = run.fetch(client, store, &format!("/comment/{cid}"))?;
+        |(_, cid)| format!("/comment/{cid}"),
+        |&(author, _), resp| {
             if !resp.status.is_success() {
                 return None;
             }
-            let html = resp.text();
+            let html = String::from_utf8_lossy(&resp.body);
             let meta = scrape::scrape_hidden_meta(&html)?;
             // The blob also names the author — the hook for ghost-account
             // discovery below.

@@ -17,15 +17,14 @@ pub fn crawl_youtube(crawler: &Crawler, store: &mut CrawlStore) {
     // accounting) is reproducible run to run.
     targets.sort();
     let run = PhaseRun::new(crawler, Phase::Youtube);
-    let results = crate::parallel::parallel_fetch(
+    let results = crate::parallel::parallel_get(
+        &run,
+        store,
         crawler.endpoints.youtube,
         &targets,
-        crawler.config.workers,
-        &store.stats,
         |c| run.setup_client(c),
-        |client, url| {
-            let target = format!("/render?url={}", httpnet::http::percent_encode(url));
-            let resp = run.fetch(client, store, &target)?;
+        |url| format!("/render?url={}", httpnet::http::percent_encode(url)),
+        |url, resp| {
             if !resp.status.is_success() {
                 // Never-hosted URL: record as unavailable/unknown.
                 return Some(CrawledYoutube {
@@ -37,7 +36,7 @@ pub fn crawl_youtube(crawler: &Crawler, store: &mut CrawlStore) {
                     comments_disabled: false,
                 });
             }
-            let v = jsonlite::parse(&resp.text()).ok()?;
+            let v = jsonlite::parse(&String::from_utf8_lossy(&resp.body)).ok()?;
             Some(CrawledYoutube {
                 url: url.clone(),
                 kind: v.get("kind")?.as_str()?.to_owned(),

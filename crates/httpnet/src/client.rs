@@ -7,7 +7,7 @@
 
 use crate::cache::RevalidationCache;
 use crate::cpool::{ConnPool, PooledConn};
-use crate::http::{read_response, write_request, Request, Response, Status, WireError};
+use crate::http::{read_response, write_request, write_requests, Request, Response, Status, WireError};
 use crate::retry::{classify_status, parse_retry_after, RetryPolicy, StatusClass};
 use std::fmt;
 use std::io::BufReader;
@@ -95,11 +95,11 @@ impl Instrument {
         }
     }
 
-    fn observe(&self, started: Instant, result: &Result<Response, ClientError>) {
+    fn observe(&self, latency: Duration, result: &Result<Response, ClientError>) {
         self.requests.inc();
         match result {
             Ok(r) => {
-                self.latency.observe(started.elapsed());
+                self.latency.observe(latency);
                 if r.status.0 >= 500 {
                     self.status_5xx.inc();
                 } else if r.status.0 == 429 {
@@ -194,6 +194,9 @@ impl ClientBuilder {
         }
     }
 }
+
+/// One response read off a pipelined batch, with its latency.
+type Answer = (Result<Response, ClientError>, Duration);
 
 /// A blocking HTTP/1.1 client bound to one server address.
 pub struct Client {
@@ -307,43 +310,55 @@ impl Client {
         (req, Some((key, conditional)))
     }
 
+    /// Settle a GET's answer against the revalidation cache: a `304` to a
+    /// conditional request becomes the cached full representation (or,
+    /// when the entry was evicted since its ETag was read, an
+    /// unconditional refetch through `resend` — still one logical
+    /// request), and a fresh representation is stored. Without a cache
+    /// (`ctx` is `None`) the answer passes through.
+    fn revalidate(
+        &self,
+        target: &str,
+        ctx: Option<(String, bool)>,
+        result: Result<Response, ClientError>,
+        resend: impl FnOnce(&Request) -> Result<Response, ClientError>,
+    ) -> Result<Response, ClientError> {
+        let (Some(rc), Some((key, conditional))) = (&self.reval, ctx) else { return result };
+        match result {
+            Ok(r) if r.status == Status::NOT_MODIFIED && conditional => {
+                match rc.take_revalidated(&key) {
+                    Some(full) => {
+                        if let Some(inst) = &self.inst {
+                            inst.not_modified.inc();
+                        }
+                        Ok(full)
+                    }
+                    None => {
+                        let refetched = resend(&self.build(Request::get(target)));
+                        if let Ok(r2) = &refetched {
+                            rc.store(&key, r2);
+                        }
+                        refetched
+                    }
+                }
+            }
+            Ok(r) => {
+                rc.store(&key, &r);
+                Ok(r)
+            }
+            e => e,
+        }
+    }
+
     /// Issue a GET. Requires `&mut self` only when keep-alive is on; this
     /// immutable variant always uses a fresh connection.
     pub fn get(&self, target: &str) -> Result<Response, ClientError> {
         let (req, ctx) = self.prepare_get(target);
         let started = Instant::now();
-        let mut result = self.send_fresh(&req);
-        if let (Some(rc), Some((key, conditional))) = (&self.reval, &ctx) {
-            result = match result {
-                Ok(r) if r.status == Status::NOT_MODIFIED && *conditional => {
-                    match rc.take_revalidated(key) {
-                        Some(full) => {
-                            if let Some(inst) = &self.inst {
-                                inst.not_modified.inc();
-                            }
-                            Ok(full)
-                        }
-                        // Entry evicted since the ETag was read: refetch
-                        // unconditionally (still one logical request).
-                        None => {
-                            let plain = self.build(Request::get(target));
-                            let refetched = self.send_fresh(&plain);
-                            if let Ok(r2) = &refetched {
-                                rc.store(key, r2);
-                            }
-                            refetched
-                        }
-                    }
-                }
-                Ok(r) => {
-                    rc.store(key, &r);
-                    Ok(r)
-                }
-                e => e,
-            };
-        }
+        let result = self.send_fresh(&req);
+        let result = self.revalidate(target, ctx, result, |req| self.send_fresh(req));
         if let Some(inst) = &self.inst {
-            inst.observe(started, &result);
+            inst.observe(started.elapsed(), &result);
         }
         result
     }
@@ -360,46 +375,62 @@ impl Client {
         // Counted as ONE wire attempt even when a stale pooled connection
         // forces a transparent resend — staleness depends on scheduling,
         // and counters must replay identically for identical seeds.
-        let mut result = self.send_pooled(&req);
-        if let Some((key, conditional)) = &ctx {
-            let rc = self.reval.clone().expect("ctx implies cache");
-            result = match result {
-                Ok(r) if r.status == Status::NOT_MODIFIED && *conditional => {
-                    match rc.take_revalidated(key) {
-                        Some(full) => {
-                            if let Some(inst) = &self.inst {
-                                inst.not_modified.inc();
-                            }
-                            Ok(full)
-                        }
-                        None => {
-                            let plain = self.build(Request::get(target));
-                            let refetched = self.send_pooled(&plain);
-                            if let Ok(r2) = &refetched {
-                                rc.store(key, r2);
-                            }
-                            refetched
-                        }
-                    }
-                }
-                Ok(r) => {
-                    rc.store(key, &r);
-                    Ok(r)
-                }
-                e => e,
-            };
-        }
+        let result = self.send_pooled(&req);
+        let result = self.revalidate(target, ctx, result, |req| self.send_pooled(req));
         if let Some(inst) = &self.inst {
-            inst.observe(started, &result);
+            inst.observe(started.elapsed(), &result);
         }
         result
+    }
+
+    /// Issue GETs for `targets` pipelined on one pooled connection: every
+    /// request (built as [`Client::get_keep_alive`] builds it, cookies and
+    /// `If-None-Match` included) goes out in one `write`, and the
+    /// responses are read back in order. Returns one answer per target,
+    /// in order, each revalidated and counted exactly as
+    /// [`Client::get_keep_alive`] would.
+    ///
+    /// * If the first response fails, the whole batch is re-sent once on
+    ///   a fresh connection — the stale-connection rule of
+    ///   [`Client::get_keep_alive`], batch-wide.
+    /// * If the connection ends after at least one response arrived (the
+    ///   server retired it at its keep-alive cap, or a fault killed it),
+    ///   the rest are unanswered: each is re-sent on its own through
+    ///   [`Client::get_keep_alive`] and counted only then, once.
+    ///
+    /// Without keep-alive, or for a single target, the GETs go one at a
+    /// time.
+    pub fn get_pipelined<S: AsRef<str>>(
+        &mut self,
+        targets: &[S],
+    ) -> Vec<Result<Response, ClientError>> {
+        if !self.keep_alive || targets.len() < 2 {
+            return targets.iter().map(|t| self.get_keep_alive(t.as_ref())).collect();
+        }
+        let (reqs, ctxs): (Vec<Request>, Vec<_>) =
+            targets.iter().map(|t| self.prepare_get(t.as_ref())).unzip();
+        let mut answers = self.send_pipelined(&reqs).into_iter();
+        let mut out = Vec::with_capacity(targets.len());
+        for (target, ctx) in targets.iter().map(AsRef::as_ref).zip(ctxs) {
+            let Some((result, latency)) = answers.next() else {
+                out.push(self.get_keep_alive(target));
+                continue;
+            };
+            let started = Instant::now();
+            let result = self.revalidate(target, ctx, result, |req| self.send_pooled(req));
+            if let Some(inst) = &self.inst {
+                inst.observe(latency + started.elapsed(), &result);
+            }
+            out.push(result);
+        }
+        out
     }
 
     /// Send over the pool: check out a (possibly reused) connection,
     /// transparently retrying once on a fresh one if the exchange fails —
     /// a reused socket may have been closed server-side at any point.
     /// Only a successful exchange returns the connection to the pool.
-    fn send_pooled(&mut self, req: &Request) -> Result<Response, ClientError> {
+    fn send_pooled(&self, req: &Request) -> Result<Response, ClientError> {
         let (conn, _reused) =
             self.pool.acquire(self.addr, self.timeout).map_err(ClientError::Connect)?;
         match self.send_on_conn(conn, req) {
@@ -413,6 +444,26 @@ impl Client {
                     .map_err(ClientError::Connect)?;
                 self.send_on_conn(fresh, req)
             }
+        }
+    }
+
+    /// [`Client::send_pooled`] for a pipelined batch: the answers that
+    /// arrived, in order, each with its latency. Fewer answers than
+    /// requests means the rest went unanswered; a failed first response
+    /// (after the one fresh-connection resend) is the only answer.
+    fn send_pipelined(&self, reqs: &[Request]) -> Vec<Answer> {
+        let started = Instant::now();
+        let failed = |e| vec![(Err(e), started.elapsed())];
+        let conn = match self.pool.acquire(self.addr, self.timeout) {
+            Ok((conn, _reused)) => conn,
+            Err(e) => return failed(ClientError::Connect(e)),
+        };
+        if let Ok(answers) = self.exchange_pipelined(conn, reqs, started) {
+            return answers;
+        }
+        match self.pool.connect_fresh(self.addr, self.timeout) {
+            Ok(fresh) => self.exchange_pipelined(fresh, reqs, started).unwrap_or_else(failed),
+            Err(e) => failed(ClientError::Connect(e)),
         }
     }
 
@@ -500,6 +551,32 @@ impl Client {
         write_request(req, &mut stream).map_err(|e| ClientError::Wire(WireError::Io(e)))?;
         let mut reader = BufReader::new(stream);
         read_response(&mut reader).map_err(ClientError::Wire)
+    }
+
+    /// One pipelined exchange on `conn`: all of `reqs` in one write, then
+    /// their responses in order. Fails only when the first response
+    /// fails; a later failure ends the answers early and drops the
+    /// connection. A fully answered connection goes back to the pool.
+    fn exchange_pipelined(
+        &self,
+        mut conn: PooledConn,
+        reqs: &[Request],
+        started: Instant,
+    ) -> Result<Vec<Answer>, ClientError> {
+        let io = |e| ClientError::Wire(WireError::Io(e));
+        conn.set_read_timeout(self.timeout).map_err(io)?;
+        write_requests(reqs, conn.get_mut()).map_err(io)?;
+        let mut answers = Vec::with_capacity(reqs.len());
+        let first = read_response(&mut *conn).map_err(ClientError::Wire)?;
+        answers.push((Ok(first), started.elapsed()));
+        while answers.len() < reqs.len() {
+            match read_response(&mut *conn) {
+                Ok(r) => answers.push((Ok(r), started.elapsed())),
+                Err(_) => return Ok(answers),
+            }
+        }
+        self.pool.release(self.addr, conn);
+        Ok(answers)
     }
 
     /// One request/response exchange on `conn`. On success the connection
@@ -921,6 +998,89 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("http.ka.requests"), Some(4));
         assert_eq!(snap.histogram("http.ka.latency").unwrap().count, 4);
+    }
+
+    fn retiring_echo_server() -> Server {
+        let handler: Arc<dyn Handler> =
+            Arc::new(|req: &Request| Response::html(format!("echo:{}", req.path())));
+        Server::start(handler, ServerConfig { max_requests_per_conn: 3, ..Default::default() })
+            .unwrap()
+    }
+
+    fn targets(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("/t{i}")).collect()
+    }
+
+    fn assert_echoed(answers: Vec<Result<Response, ClientError>>, targets: &[String]) {
+        assert_eq!(answers.len(), targets.len());
+        for (answer, target) in answers.into_iter().zip(targets) {
+            assert_eq!(answer.unwrap().text(), format!("echo:{target}"));
+        }
+    }
+
+    #[test]
+    fn a_pipelined_batch_is_fully_answered_past_keep_alive_retirement() {
+        // The server retires each connection after 3 requests, so 5 of
+        // the 8 go unanswered on the batch's connection and are re-sent
+        // one at a time — each counted once, when it is sent.
+        let server = retiring_echo_server();
+        let registry = obs::Registry::new();
+        let mut client =
+            Client::builder(server.addr()).keep_alive(true).metrics(&registry, "pl").build();
+        let targets = targets(8);
+        assert_echoed(client.get_pipelined(&targets), &targets);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("http.pl.requests"), Some(8));
+        assert_eq!(snap.counter("http.pl.requests"), Some(server.requests_served()));
+        assert_eq!(snap.histogram("http.pl.latency").unwrap().count, 8);
+        let served: Vec<String> =
+            server.access_log().snapshot().into_iter().map(|e| e.target).collect();
+        assert_eq!(served, targets, "each request reached the server once, in order");
+    }
+
+    #[test]
+    fn a_stale_pooled_connection_resends_the_batch_once() {
+        let server = retiring_echo_server();
+        let registry = obs::Registry::new();
+        let mut client =
+            Client::builder(server.addr()).keep_alive(true).metrics(&registry, "pl").build();
+        // Three requests use up the connection; the client parks it, and
+        // the server has closed it.
+        for t in ["/w0", "/w1", "/w2"] {
+            client.get_keep_alive(t).unwrap();
+        }
+        let parked = client.pool().stats();
+        assert_eq!((parked.open, parked.idle), (1, 1));
+        let targets = targets(8);
+        assert_echoed(client.get_pipelined(&targets), &targets);
+        assert!(client.pool().stats().reuse > parked.reuse, "the stale connection was tried");
+        assert_eq!(server.requests_served(), 11);
+        assert_eq!(registry.snapshot().counter("http.pl.requests"), Some(11));
+        let served: Vec<String> =
+            server.access_log().snapshot().into_iter().skip(3).map(|e| e.target).collect();
+        assert_eq!(served, targets, "the batch reached the server once, on a fresh connection");
+    }
+
+    #[test]
+    fn pipelined_gets_resolve_304s_from_the_revalidation_cache() {
+        let (server, renders) = conditional_server();
+        let registry = obs::Registry::new();
+        let mut client = Client::builder(server.addr())
+            .keep_alive(true)
+            .metrics(&registry, "cond")
+            .revalidation_cache(RevalidationCache::new(64))
+            .build();
+        client.set_cookie("session", "s");
+        let targets = targets(4);
+        let first: Vec<String> =
+            client.get_pipelined(&targets).into_iter().map(|r| r.unwrap().text()).collect();
+        let second: Vec<String> =
+            client.get_pipelined(&targets).into_iter().map(|r| r.unwrap().text()).collect();
+        assert_eq!(first, second, "the 304s resolved to the cached bodies");
+        assert_eq!(renders.load(Ordering::SeqCst), 4, "the re-fetch rendered nothing");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("http.cond.not_modified"), Some(4));
+        assert_eq!(snap.counter("http.cond.requests"), Some(8));
     }
 
     #[test]

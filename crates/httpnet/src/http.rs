@@ -470,6 +470,12 @@ pub fn write_request<W: Write>(req: &Request, w: &mut W) -> std::io::Result<()> 
     write_once(w, |buf| serialize_request(req, buf))
 }
 
+/// Serialize pipelined requests back to back and send them with one
+/// `write_all`.
+pub fn write_requests<W: Write>(reqs: &[Request], w: &mut W) -> std::io::Result<()> {
+    write_once(w, |buf| reqs.iter().for_each(|req| serialize_request(req, buf)))
+}
+
 /// Serialize a response's status line and headers (adding
 /// `Content-Length` if absent) into `buf`, leaving the body out — the
 /// server sends `[head, body]` as one vectored write instead of copying
@@ -970,5 +976,115 @@ mod limit_tests {
         assert_eq!(req.query("flag").as_deref(), Some(""));
         assert_eq!(req.query("k").as_deref(), Some(""));
         assert_eq!(req.query("x").as_deref(), Some("1"));
+    }
+}
+
+/// Wire round trips over pipelined streams: messages serialized back to
+/// back read back one at a time, each parse consuming exactly its own
+/// bytes.
+#[cfg(test)]
+mod pipeline_props {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    /// A crawl GET (with a session cookie when `cookie` is non-empty), or
+    /// a POST when `body` is non-empty.
+    fn request((path, cookie, body): (String, String, Vec<u8>)) -> Request {
+        let mut req = Request::get(&format!("/{path}"));
+        req.headers.add("Host", "sim.local");
+        if !cookie.is_empty() {
+            req.headers.add("Cookie", &format!("session={cookie}"));
+        }
+        if !body.is_empty() {
+            req.method = "POST".to_owned();
+            req.body = body;
+        }
+        req
+    }
+
+    /// A page, an empty-body `304`, or a `404` whose caller set its own
+    /// `Content-Length`.
+    fn response((kind, body): (u8, Vec<u8>)) -> Response {
+        match kind % 3 {
+            0 => Response::html(String::from_utf8_lossy(&body).into_owned()),
+            1 => {
+                let mut h = Headers::new();
+                h.add("ETag", &format_etag(body.len() as u64));
+                Response::not_modified(h)
+            }
+            _ => {
+                let mut r = Response::status(Status::NOT_FOUND);
+                r.headers.add("Content-Length", &body.len().to_string());
+                r.body = body;
+                r
+            }
+        }
+    }
+
+    /// `headers` as the peer parses them: the sender adds
+    /// `Content-Length` when `body_len` is given and the caller set none.
+    fn on_the_wire(headers: &Headers, body_len: Option<usize>) -> Headers {
+        let mut want = headers.clone();
+        if let (None, Some(len)) = (headers.get("content-length"), body_len) {
+            want.add("Content-Length", &len.to_string());
+        }
+        want
+    }
+
+    proptest! {
+        #[test]
+        fn pipelined_requests_parse_back_one_at_a_time(
+            specs in prop::collection::vec(
+                ("[a-z0-9/._-]{0,24}", "[a-z0-9]{0,12}", prop::collection::vec(any::<u8>(), 0..48)),
+                1..9,
+            )
+        ) {
+            let reqs: Vec<Request> = specs.into_iter().map(request).collect();
+            let mut wire = Vec::new();
+            let mut ends = Vec::new();
+            for req in &reqs {
+                serialize_request(req, &mut wire);
+                ends.push(wire.len());
+            }
+            let mut batch = Vec::new();
+            write_requests(&reqs, &mut batch).unwrap();
+            prop_assert_eq!(&batch, &wire);
+            let mut pos = 0;
+            for (req, end) in reqs.iter().zip(ends) {
+                let (got, consumed) = parse_request(&wire[pos..]).unwrap().expect("complete");
+                prop_assert_eq!(pos + consumed, end);
+                prop_assert_eq!(&got.method, &req.method);
+                prop_assert_eq!(&got.target, &req.target);
+                let body_len = (!req.body.is_empty()).then_some(req.body.len());
+                prop_assert_eq!(got.headers, on_the_wire(&req.headers, body_len));
+                prop_assert_eq!(&got.body, &req.body);
+                pos = end;
+            }
+            prop_assert!(parse_request(&wire[pos..]).unwrap().is_none());
+        }
+
+        #[test]
+        fn pipelined_responses_read_back_in_order(
+            specs in prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
+                1..9,
+            )
+        ) {
+            let resps: Vec<Response> = specs.into_iter().map(response).collect();
+            let mut wire = Vec::new();
+            for resp in &resps {
+                serialize_response_head(resp, &mut wire);
+                wire.extend_from_slice(&resp.body);
+            }
+            let mut reader = BufReader::new(&wire[..]);
+            for resp in &resps {
+                let got = read_response(&mut reader).unwrap();
+                prop_assert_eq!(got.status, resp.status);
+                prop_assert_eq!(got.headers, on_the_wire(&resp.headers, Some(resp.body.len())));
+                prop_assert_eq!(&got.body, &resp.body);
+            }
+            prop_assert!(matches!(read_response(&mut reader), Err(WireError::Eof)));
+        }
     }
 }

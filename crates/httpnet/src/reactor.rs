@@ -11,8 +11,11 @@
 //!   free).
 //! * **Handlers** run inline on the reactor thread — per-core workers,
 //!   no cross-thread handoff per request.
-//! * **Writes** go out as one vectored `[head, body]` write; partial
-//!   writes arm `EPOLLOUT` and resume when the peer drains.
+//! * **Writes** go out as one vectored write over each staged
+//!   response's `[head, body]`. Responses to pipelined requests that are
+//!   ready now and keep the connection open share one write (up to
+//!   [`COALESCE_MAX`] responses or [`COALESCE_BYTES`]); partial writes
+//!   arm `EPOLLOUT` and resume when the peer drains.
 //! * **Fault delays** (base latency, stalls, `Retry-After` pauses) park
 //!   the connection in a timer heap instead of sleeping a thread, so one
 //!   stalled response never blocks the other connections on the core.
@@ -44,6 +47,10 @@ const READ_CHUNK: usize = 16 * 1024;
 const BUF_RETAIN: usize = 16 * 1024;
 /// Token reserved for the inbox eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
+/// Most responses one coalesced write carries.
+const COALESCE_MAX: usize = 16;
+/// A coalesced write stops taking responses once it holds this many bytes.
+const COALESCE_BYTES: usize = 64 * 1024;
 
 /// Hand-off queue from the accept thread to one reactor.
 pub(crate) struct Inbox {
@@ -88,8 +95,30 @@ enum State {
     Reading,
     /// Response computed; parked until its fault delay elapses.
     Delayed,
-    /// Flushing the response; waiting for the peer to drain.
+    /// Flushing the staged responses; waiting for the peer to drain.
     Writing,
+}
+
+/// A response staged for the wire: its serialized head and its body
+/// (moved out of the handler's response, never copied).
+struct Staged {
+    head: Vec<u8>,
+    body: Vec<u8>,
+}
+
+impl Staged {
+    fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+}
+
+/// A response waiting out its fault delay. It is released (counted and
+/// logged) when the delay has passed and every earlier response is on
+/// the wire.
+struct Parked {
+    ready_at: Instant,
+    staged: Staged,
+    log: Option<PendingLog>,
 }
 
 /// Per-connection state machine with reusable buffers.
@@ -98,15 +127,16 @@ struct Conn {
     state: State,
     /// Unparsed request bytes (reused across requests on the connection).
     read_buf: Vec<u8>,
-    /// Serialized response head (status line + headers), reused.
-    head: Vec<u8>,
-    /// Response body (owned by the in-flight response).
-    body: Vec<u8>,
-    /// Bytes of `head + body` already written.
+    /// Released responses, in request order, flushed by one vectored
+    /// write (reused across batches).
+    out: Vec<Staged>,
+    /// Bytes of `out` already written.
     written: usize,
+    /// A delayed response, started once `out` is flushed.
+    parked: Option<Parked>,
     /// Requests served on this connection (keep-alive cap).
     served: usize,
-    /// Close once the current write completes.
+    /// Close once everything staged is written.
     close_after_write: bool,
     /// Interest mask currently registered with epoll.
     interest: u32,
@@ -118,8 +148,6 @@ struct Conn {
     /// until a complete request parses, so `header_read_timeout` bounds
     /// the *total* time a slowloris peer can trickle bytes.
     request_started: Option<Instant>,
-    /// Access-log bookkeeping for the in-flight request.
-    pending_log: Option<PendingLog>,
     /// Slot generation, so stale timer entries can be detected.
     gen: u64,
 }
@@ -157,6 +185,24 @@ pub(crate) struct ReactorShared {
     /// `conn.oversize` — closes of peers that shoveled more unparsed
     /// request bytes than `max_inflight_request_bytes` allows.
     pub(crate) oversize: Option<obs::Counter>,
+    /// `conn.coalesced` — responses that shared a write with an earlier
+    /// response to a pipelined request.
+    pub(crate) coalesced: Option<obs::Counter>,
+}
+
+impl ReactorShared {
+    /// Account a response as it is released to the wire.
+    fn release(&self, log: Option<PendingLog>) {
+        let Some(log) = log.filter(|log| log.counted) else { return };
+        self.requests_served.fetch_add(1, Ordering::SeqCst);
+        self.access_log.record(crate::log::AccessEntry {
+            method: log.method,
+            target: log.target,
+            status: log.status,
+            body_len: log.body_len,
+            duration: log.started.elapsed(),
+        });
+    }
 }
 
 fn bump(counter: &Option<obs::Counter>) {
@@ -261,15 +307,14 @@ impl Reactor {
                 stream,
                 state: State::Reading,
                 read_buf: Vec::new(),
-                head: Vec::new(),
-                body: Vec::new(),
+                out: Vec::new(),
                 written: 0,
+                parked: None,
                 served: 0,
                 close_after_write: false,
                 interest: EPOLLIN | EPOLLRDHUP,
                 deadline: Some(Instant::now() + self.shared.config.read_timeout),
                 request_started: None,
-                pending_log: None,
                 gen: self.gens[token],
             };
             if self.epoll.add(conn.stream.as_raw_fd(), conn.interest, token as u64).is_err() {
@@ -337,56 +382,70 @@ impl Reactor {
         self.advance(token);
     }
 
-    /// Try to parse and serve the next request off the read buffer.
+    /// Parse and serve the requests buffered on the connection, then
+    /// flush the responses. Requests already complete in the buffer are
+    /// served into the same write while their responses are ready now
+    /// and keep the connection open; a response that is delayed or ends
+    /// the connection stops the batch, and everything staged before it
+    /// is flushed first.
     fn advance(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-        debug_assert_eq!(conn.state, State::Reading);
-        if !conn.read_buf.is_empty() && conn.request_started.is_none() {
-            conn.request_started = Some(Instant::now());
-        }
-        match parse_request(&conn.read_buf) {
-            Ok(None) => {
-                // Incomplete: wait for more bytes. The per-read deadline
-                // refreshes, but `request_started` does not — a trickling
-                // peer still runs out of `header_read_timeout`.
-                conn.deadline = Some(Instant::now() + self.shared.config.read_timeout);
-                self.set_interest(token, EPOLLIN | EPOLLRDHUP);
+        loop {
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+            debug_assert_eq!(conn.state, State::Reading);
+            if !conn.read_buf.is_empty() && conn.request_started.is_none() {
+                conn.request_started = Some(Instant::now());
             }
-            Err(_) => {
-                // Same contract as the blocking server: one 400, then close.
-                let conn = self.conns[token].as_mut().expect("checked");
-                conn.read_buf.clear();
-                conn.head.clear();
-                serialize_response_head(&Response::status(Status(400)), &mut conn.head);
-                conn.body.clear();
-                conn.written = 0;
-                conn.close_after_write = true;
-                conn.pending_log = None;
-                self.begin_write(token);
-            }
-            Ok(Some((req, consumed))) => {
-                // A complete request arrived in time; pipelined leftovers
-                // start a fresh header clock when they get parsed.
-                conn.request_started = None;
-                // Drop the consumed prefix, keeping pipelined leftovers.
-                if consumed == conn.read_buf.len() {
+            match parse_request(&conn.read_buf) {
+                // Incomplete: wait for more bytes. `request_started` stays
+                // pinned — a trickling peer still runs out of
+                // `header_read_timeout`.
+                Ok(None) => break,
+                Err(_) => {
+                    // Same contract as the blocking server: one 400, then close.
                     conn.read_buf.clear();
-                    if conn.read_buf.capacity() > 4 * BUF_RETAIN {
-                        conn.read_buf.shrink_to(BUF_RETAIN);
-                    }
-                } else {
-                    conn.read_buf.copy_within(consumed.., 0);
-                    let rest = conn.read_buf.len() - consumed;
-                    conn.read_buf.truncate(rest);
+                    let mut head = Vec::new();
+                    serialize_response_head(&Response::status(Status(400)), &mut head);
+                    conn.out.push(Staged { head, body: Vec::new() });
+                    conn.close_after_write = true;
+                    break;
                 }
-                self.serve(token, req);
+                Ok(Some((req, consumed))) => {
+                    // A complete request arrived in time; pipelined leftovers
+                    // start a fresh header clock when they get parsed.
+                    conn.request_started = None;
+                    // Drop the consumed prefix, keeping pipelined leftovers.
+                    if consumed == conn.read_buf.len() {
+                        conn.read_buf.clear();
+                        if conn.read_buf.capacity() > 4 * BUF_RETAIN {
+                            conn.read_buf.shrink_to(BUF_RETAIN);
+                        }
+                    } else {
+                        conn.read_buf.copy_within(consumed.., 0);
+                        let rest = conn.read_buf.len() - consumed;
+                        conn.read_buf.truncate(rest);
+                    }
+                    if !self.serve(token, req) {
+                        break;
+                    }
+                }
             }
+        }
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        if !conn.out.is_empty() {
+            self.begin_write(token);
+        } else if conn.parked.is_some() || conn.close_after_write {
+            self.after_flush(token);
+        } else {
+            // Only an incomplete request is buffered.
+            self.await_request(token);
         }
     }
 
-    /// Decide the fault action, run the handler, stage the response, and
-    /// either release it now or park it in the timer heap.
-    fn serve(&mut self, token: usize, req: Request) {
+    /// Decide the fault action, run the handler, and stage the response:
+    /// released into the current write when it is ready now, parked when
+    /// it has a fault delay. Returns whether the next buffered request
+    /// may join the same write.
+    fn serve(&mut self, token: usize, req: Request) -> bool {
         let shared = self.shared.clone();
         let started = Instant::now();
         let action = shared.injector.decide();
@@ -449,16 +508,20 @@ impl Reactor {
             ),
         };
 
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-        conn.head.clear();
-        conn.body.clear();
-        conn.written = 0;
-        conn.pending_log = None;
-        let staged = resp.is_some() || raw.is_some();
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
+        // A handler panic leaves no response and no raw bytes: confine it
+        // by dropping the connection (after the responses already staged),
+        // like the old worker pool did.
+        if resp.is_none() && raw.is_none() && !kill {
+            conn.close_after_write = true;
+            return false;
+        }
+        let mut staged = Staged { head: Vec::new(), body: Vec::new() };
+        let mut log = None;
         match (resp, raw) {
             (Some(resp), _) => {
-                serialize_response_head(&resp, &mut conn.head);
-                conn.pending_log = Some(PendingLog {
+                serialize_response_head(&resp, &mut staged.head);
+                log = Some(PendingLog {
                     method: req.method,
                     target: req.target,
                     status: resp.status.0,
@@ -466,31 +529,26 @@ impl Reactor {
                     started,
                     counted,
                 });
-                conn.body = resp.body;
+                staged.body = resp.body;
             }
-            (None, Some(bytes)) => conn.head.extend_from_slice(&bytes),
+            (None, Some(bytes)) => staged.head = bytes,
             (None, None) => {}
-        }
-        // A handler panic leaves no response and no raw bytes: confine it
-        // by dropping the connection, like the old worker pool did.
-        if !staged && !kill {
-            self.close(token);
-            return;
         }
         conn.served += 1;
         conn.close_after_write = kill
             || close_requested
             || conn.served >= shared.config.max_requests_per_conn;
-
-        if delay.is_zero() {
-            self.begin_write(token);
-        } else {
-            conn.state = State::Delayed;
-            conn.deadline = None;
-            let gen = conn.gen;
-            self.timers.push(Reverse((started + delay, token, gen)));
-            self.set_interest(token, 0);
+        if !delay.is_zero() {
+            conn.parked = Some(Parked { ready_at: started + delay, staged, log });
+            return false;
         }
+        shared.release(log);
+        if staged.len() > 0 {
+            conn.out.push(staged);
+        }
+        !conn.close_after_write
+            && conn.out.len() < COALESCE_MAX
+            && conn.out.iter().map(Staged::len).sum::<usize>() < COALESCE_BYTES
     }
 
     /// Run the handler, confining panics. `None` means it panicked.
@@ -507,7 +565,7 @@ impl Reactor {
         }
     }
 
-    /// Release delayed responses whose time has come.
+    /// Release parked responses whose delay has passed.
     fn fire_timers(&mut self) {
         let now = Instant::now();
         while let Some(Reverse((at, token, gen))) = self.timers.peek().copied() {
@@ -520,58 +578,54 @@ impl Reactor {
                 Some(c) if c.gen == gen && c.state == State::Delayed
             );
             if live {
-                self.begin_write(token);
+                self.after_flush(token);
             }
         }
     }
 
-    /// Account the staged response and start flushing it.
+    /// Start flushing the released responses.
     fn begin_write(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-        if let Some(log) = conn.pending_log.take() {
-            if log.counted {
-                self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
-                self.shared.access_log.record(crate::log::AccessEntry {
-                    method: log.method,
-                    target: log.target,
-                    status: log.status,
-                    body_len: log.body_len,
-                    duration: log.started.elapsed(),
-                });
-            }
+        if let (Some(c), extra @ 1..) = (&self.shared.coalesced, conn.out.len().saturating_sub(1)) {
+            c.add(extra as u64);
         }
-        let conn = self.conns[token].as_mut().expect("checked");
         conn.state = State::Writing;
         conn.deadline = Some(Instant::now() + self.shared.config.write_timeout);
         self.write_some(token);
     }
 
-    /// Push staged bytes to the socket; re-arm `EPOLLOUT` on a short write.
+    /// Push staged bytes to the socket as one vectored write over every
+    /// response's unwritten `[head, body]`; re-arm `EPOLLOUT` on a short
+    /// write.
     fn write_some(&mut self, token: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-            let total = conn.head.len() + conn.body.len();
-            if conn.written >= total {
+            let mut slices = [IoSlice::new(&[]); 2 * COALESCE_MAX];
+            let mut n = 0;
+            let mut skip = conn.written;
+            for part in conn.out.iter().flat_map(|s| [&s.head[..], &s.body[..]]) {
+                if skip >= part.len() {
+                    skip -= part.len();
+                    continue;
+                }
+                slices[n] = IoSlice::new(&part[skip..]);
+                skip = 0;
+                n += 1;
+            }
+            if n == 0 {
                 break;
             }
-            let hw = conn.written.min(conn.head.len());
-            let bw = conn.written - hw;
-            let head_rest = &conn.head[hw..];
-            let body_rest = &conn.body[bw..];
-            let result = if head_rest.is_empty() {
-                conn.stream.write(body_rest)
-            } else if body_rest.is_empty() {
-                conn.stream.write(head_rest)
+            let result = if n == 1 {
+                conn.stream.write(&slices[0])
             } else {
-                conn.stream
-                    .write_vectored(&[IoSlice::new(head_rest), IoSlice::new(body_rest)])
+                conn.stream.write_vectored(&slices[..n])
             };
             match result {
                 Ok(0) => {
                     self.close(token);
                     return;
                 }
-                Ok(n) => conn.written += n,
+                Ok(k) => conn.written += k,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.set_interest(token, EPOLLOUT);
                     return;
@@ -583,28 +637,49 @@ impl Reactor {
                 }
             }
         }
-        self.finish_write(token);
+        let conn = self.conns[token].as_mut().expect("checked");
+        conn.out.clear();
+        conn.written = 0;
+        self.after_flush(token);
     }
 
-    /// The response is fully on the wire: close, serve the next pipelined
-    /// request, or go back to waiting for bytes.
-    fn finish_write(&mut self, token: usize) {
+    /// Nothing staged is left unwritten: start the parked response (or
+    /// wait out its delay), close, serve the next pipelined request, or
+    /// go back to waiting for bytes.
+    fn after_flush(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        if let Some(parked) = conn.parked.take() {
+            if parked.ready_at > Instant::now() {
+                conn.state = State::Delayed;
+                conn.deadline = None;
+                self.timers.push(Reverse((parked.ready_at, token, conn.gen)));
+                conn.parked = Some(parked);
+                self.set_interest(token, 0);
+            } else {
+                self.shared.release(parked.log);
+                conn.out.push(parked.staged);
+                self.begin_write(token);
+            }
+            return;
+        }
         if conn.close_after_write {
             self.close(token);
             return;
         }
-        conn.head.clear();
-        conn.body = Vec::new();
-        conn.written = 0;
         conn.state = State::Reading;
-        conn.deadline = Some(Instant::now() + self.shared.config.read_timeout);
         if conn.read_buf.is_empty() {
-            self.set_interest(token, EPOLLIN | EPOLLRDHUP);
+            self.await_request(token);
         } else {
             // Pipelined request already buffered.
             self.advance(token);
         }
+    }
+
+    /// Wait for (more) request bytes under a fresh read deadline.
+    fn await_request(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        conn.deadline = Some(Instant::now() + self.shared.config.read_timeout);
+        self.set_interest(token, EPOLLIN | EPOLLRDHUP);
     }
 
     fn set_interest(&mut self, token: usize, mask: u32) {

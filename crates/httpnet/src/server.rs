@@ -120,6 +120,7 @@ impl Server {
         let read_timeouts = config.metrics.as_ref().map(|r| r.counter("conn.read_timeouts"));
         let write_timeouts = config.metrics.as_ref().map(|r| r.counter("conn.write_timeouts"));
         let oversize = config.metrics.as_ref().map(|r| r.counter("conn.oversize"));
+        let coalesced = config.metrics.as_ref().map(|r| r.counter("conn.coalesced"));
 
         let shared = Arc::new(ReactorShared {
             handler,
@@ -132,6 +133,7 @@ impl Server {
             read_timeouts,
             write_timeouts,
             oversize,
+            coalesced,
         });
 
         let workers = config.workers.max(1);
@@ -274,6 +276,7 @@ pub(crate) fn retry_after_response(status: Status, retry_after: Duration) -> Res
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::fault::FaultAction;
     use crate::http::WireError;
 
     fn echo_server(config: ServerConfig) -> Server {
@@ -392,6 +395,149 @@ mod tests {
             pos += at + expect.len();
         }
         assert_eq!(server.requests_served(), 5);
+    }
+
+    /// The bytes a server answering `reqs` one at a time puts on the wire.
+    fn sequential_bytes(handler: &dyn Handler, reqs: &[Request]) -> Vec<u8> {
+        let mut want = Vec::new();
+        for req in reqs {
+            handler.handle(req).write_to(&mut want).unwrap();
+        }
+        want
+    }
+
+    fn pipelined_batch(paths: &[&str]) -> (Vec<Request>, Vec<u8>) {
+        let reqs: Vec<Request> = paths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut req = Request::get(p);
+                req.headers.add("Host", "sim.local");
+                if i + 1 == paths.len() {
+                    req.headers.add("Connection", "close");
+                }
+                req
+            })
+            .collect();
+        let mut wire = Vec::new();
+        crate::http::write_requests(&reqs, &mut wire).unwrap();
+        (reqs, wire)
+    }
+
+    #[test]
+    fn pipelined_gets_are_answered_in_order_by_one_coalesced_write() {
+        use std::io::{Read, Write};
+        let registry = obs::Registry::new();
+        // Bodies of different sizes, so a misordered or merged response
+        // cannot produce the same bytes.
+        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+            Response::html(format!("echo:{}", req.path()).repeat(req.path().len()))
+        });
+        let server = Server::start(
+            handler.clone(),
+            ServerConfig { workers: 1, metrics: Some(registry.clone()), ..Default::default() },
+        )
+        .unwrap();
+        let paths = ["/a", "/bb", "/ccc", "/d", "/eeeee", "/f", "/gg", "/last"];
+        let (reqs, wire) = pipelined_batch(&paths);
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(&wire).unwrap();
+        let mut got = Vec::new();
+        s.read_to_end(&mut got).unwrap();
+        assert_eq!(got, sequential_bytes(&*handler, &reqs), "sequential serving's bytes");
+        assert_eq!(server.requests_served(), 8);
+        assert_eq!(
+            registry.snapshot().counter("conn.coalesced"),
+            Some(7),
+            "all eight responses left in one write"
+        );
+    }
+
+    #[test]
+    fn a_killed_request_never_holds_back_earlier_responses() {
+        use std::io::{Read, Write};
+        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+            assert_ne!(req.path(), "/boom", "handler exploded");
+            Response::html(format!("echo:{}", req.path()))
+        });
+        let server =
+            Server::start(handler.clone(), ServerConfig { workers: 1, ..Default::default() })
+                .unwrap();
+        let (reqs, wire) = pipelined_batch(&["/a", "/b", "/boom", "/c"]);
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(&wire).unwrap();
+        let mut got = Vec::new();
+        s.read_to_end(&mut got).unwrap();
+        assert_eq!(got, sequential_bytes(&*handler, &reqs[..2]), "earlier responses, then close");
+        assert_eq!(server.requests_served(), 2);
+    }
+
+    #[test]
+    fn a_delayed_request_never_holds_back_earlier_responses() {
+        use std::io::Write;
+        let stall = Duration::from_millis(1500);
+        // A seed whose first three draws are proceed, proceed, stall.
+        let faults = (0..)
+            .map(|seed| FaultConfig { stall_prob: 0.5, stall, seed, ..Default::default() })
+            .find(|cfg| {
+                let injector = crate::fault::FaultInjector::new(*cfg);
+                let draws: Vec<_> = (0..3).map(|_| injector.decide()).collect();
+                matches!(
+                    draws[..],
+                    [FaultAction::Proceed(_), FaultAction::Proceed(_), FaultAction::Stall(_)]
+                )
+            })
+            .unwrap();
+        let server = echo_server(ServerConfig { workers: 1, faults, ..Default::default() });
+        let (_, wire) = pipelined_batch(&["/a", "/b", "/slow", "/c"]);
+        let started = std::time::Instant::now();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(&wire).unwrap();
+        let mut reader = std::io::BufReader::new(s);
+        for want in ["echo:/a", "echo:/b"] {
+            assert_eq!(crate::http::read_response(&mut reader).unwrap().text(), want);
+        }
+        assert!(started.elapsed() < stall, "earlier responses waited out the stall");
+        for want in ["echo:/slow", "echo:/c"] {
+            assert_eq!(crate::http::read_response(&mut reader).unwrap().text(), want);
+        }
+        assert!(started.elapsed() >= stall);
+        assert_eq!(server.requests_served(), 4);
+    }
+
+    #[test]
+    fn an_unread_pipelined_flood_stays_bounded() {
+        use std::io::Write;
+        let registry = obs::Registry::new();
+        let body = "x".repeat(64 * 1024);
+        let handler: Arc<dyn Handler> = Arc::new(move |_: &Request| Response::html(body.clone()));
+        let server = Server::start(
+            handler,
+            ServerConfig {
+                workers: 1,
+                write_timeout: Duration::from_millis(300),
+                metrics: Some(registry.clone()),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // 100k padded GETs (~100 MB) that the peer never reads answers to.
+        let mut one = Request::get("/flood");
+        one.headers.add("Host", "sim.local");
+        one.headers.add("X-Pad", &"p".repeat(1000));
+        let mut chunk = Vec::new();
+        crate::http::write_requests(&vec![one; 100], &mut chunk).unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        let sent = (0..1000).take_while(|_| s.write_all(&chunk).is_ok()).count() * 100;
+        assert!(sent < 100_000, "the server kept reading an undrained flood");
+        // The reactor stopped serving once its writes backed up, and the
+        // write deadline closed the connection.
+        let served = server.requests_served();
+        assert!(served < 2_000, "served {served} responses nobody read");
+        assert_eq!(registry.snapshot().counter("conn.write_timeouts"), Some(1));
+        let client = Client::builder(server.addr()).build();
+        assert_eq!(client.get("/fine").unwrap().status, Status::OK);
     }
 
     #[test]

@@ -152,3 +152,24 @@ fn bench_script_rejects_a_missing_or_unknown_suite_with_exit_2() {
         assert_eq!(status.code(), Some(2), "scripts/bench.sh {args:?}");
     }
 }
+
+#[test]
+fn bench_pairs_script_rejects_bad_usage_with_exit_2() {
+    let script = Path::new(env!("CARGO_MANIFEST_DIR")).join("scripts/bench_pairs.sh");
+    let cases: [&[&str]; 5] = [
+        &[],
+        &["HEAD", "oneshot"],
+        &["HEAD", "bogus", "1"],
+        &["HEAD", "oneshot", "not-a-seed"],
+        &["no-such-rev", "oneshot", "1"],
+    ];
+    for args in cases {
+        let status = std::process::Command::new("bash")
+            .arg(&script)
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("bash runs");
+        assert_eq!(status.code(), Some(2), "scripts/bench_pairs.sh {args:?}");
+    }
+}

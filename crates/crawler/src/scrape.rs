@@ -42,11 +42,6 @@ pub fn attr_value<'a>(html: &'a str, attr: &str) -> Option<&'a str> {
     None
 }
 
-/// First occurrence of `attr="…"`, owned (see [`attr_value`]).
-pub fn extract_attr(html: &str, attr: &str) -> Option<String> {
-    attr_value(html, attr).map(str::to_owned)
-}
-
 /// Undo the front-end's HTML escaping.
 pub fn html_unescape(s: &str) -> String {
     if !s.contains('&') {
@@ -141,8 +136,8 @@ mod tests {
     fn attr_extraction() {
         let html = r#"<a data-x="1"></a><b data-x="two"></b>"#;
         assert_eq!(extract_attr_all(html, "data-x"), vec!["1", "two"]);
-        assert_eq!(extract_attr(html, "data-x").as_deref(), Some("1"));
-        assert!(extract_attr(html, "data-y").is_none());
+        assert_eq!(attr_value(html, "data-x"), Some("1"));
+        assert!(attr_value(html, "data-y").is_none());
     }
 
     #[test]
@@ -166,7 +161,6 @@ mod tests {
         // failed candidate would miss the real attribute.
         let html = r#"<li data-createdata-created="1">"#;
         assert_eq!(attr_value(html, "data-created"), Some("1"));
-        assert_eq!(extract_attr(html, "data-created").as_deref(), Some("1"));
         assert_eq!(attr_value(r#"aab="v""#, "ab"), Some("v"));
     }
 

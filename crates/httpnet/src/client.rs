@@ -426,31 +426,20 @@ impl Client {
         out
     }
 
-    /// Send over the pool: check out a (possibly reused) connection,
-    /// transparently retrying once on a fresh one if the exchange fails —
-    /// a reused socket may have been closed server-side at any point.
-    /// Only a successful exchange returns the connection to the pool.
+    /// Send one request over the pool: [`Client::send_pipelined`] with a
+    /// batch of one.
     fn send_pooled(&self, req: &Request) -> Result<Response, ClientError> {
-        let (conn, _reused) =
-            self.pool.acquire(self.addr, self.timeout).map_err(ClientError::Connect)?;
-        match self.send_on_conn(conn, req) {
-            Ok(r) => Ok(r),
-            Err(_) => {
-                // Stale pooled connection (or transient failure): one
-                // retry on a fresh connection, still ONE logical request.
-                let fresh = self
-                    .pool
-                    .connect_fresh(self.addr, self.timeout)
-                    .map_err(ClientError::Connect)?;
-                self.send_on_conn(fresh, req)
-            }
-        }
+        self.send_pipelined(std::slice::from_ref(req)).swap_remove(0).0
     }
 
-    /// [`Client::send_pooled`] for a pipelined batch: the answers that
-    /// arrived, in order, each with its latency. Fewer answers than
-    /// requests means the rest went unanswered; a failed first response
-    /// (after the one fresh-connection resend) is the only answer.
+    /// Send `reqs` pipelined over the pool: check out a (possibly reused)
+    /// connection and, if the first response fails, re-send the whole
+    /// batch once on a fresh one — a reused socket may have been closed
+    /// server-side at any point. Returns the answers that arrived, in
+    /// order, each with its latency. Fewer answers than requests means the
+    /// rest went unanswered; a failed first response (after the one
+    /// fresh-connection resend) is the only answer. Only a fully answered
+    /// exchange returns the connection to the pool.
     fn send_pipelined(&self, reqs: &[Request]) -> Vec<Answer> {
         let started = Instant::now();
         let failed = |e| vec![(Err(e), started.elapsed())];
@@ -461,6 +450,8 @@ impl Client {
         if let Ok(answers) = self.exchange_pipelined(conn, reqs, started) {
             return answers;
         }
+        // Stale pooled connection (or transient failure): one resend on a
+        // fresh connection, still one logical request per target.
         match self.pool.connect_fresh(self.addr, self.timeout) {
             Ok(fresh) => self.exchange_pipelined(fresh, reqs, started).unwrap_or_else(failed),
             Err(e) => failed(ClientError::Connect(e)),
@@ -577,22 +568,6 @@ impl Client {
         }
         self.pool.release(self.addr, conn);
         Ok(answers)
-    }
-
-    /// One request/response exchange on `conn`. On success the connection
-    /// is checked back into the pool; on failure it is dropped (its wire
-    /// state is unknown).
-    fn send_on_conn(&self, mut conn: PooledConn, req: &Request) -> Result<Response, ClientError> {
-        let io = |e| ClientError::Wire(WireError::Io(e));
-        conn.set_read_timeout(self.timeout).map_err(io)?;
-        write_request(req, conn.get_mut()).map_err(io)?;
-        match read_response(&mut *conn) {
-            Ok(r) => {
-                self.pool.release(self.addr, conn);
-                Ok(r)
-            }
-            Err(e) => Err(ClientError::Wire(e)),
-        }
     }
 }
 

@@ -37,7 +37,9 @@ workloads=$(awk '
     on && /"name"/ { gsub(/[",]/, "", $2); print $2 }
 ' BENCHMARK.json)
 grep -qx "$workload" <<<"$workloads" || usage
-git rev-parse --verify --quiet "$parent_rev^{commit}" >/dev/null || usage
+# Resolved once, here: inside the parent worktree HEAD~1 would mean
+# something else.
+parent_rev=$(git rev-parse --verify --quiet "$parent_rev^{commit}") || usage
 
 # BENCHMARK.json: run length and the end-to-end metrics with their
 # directions, as "name better" lines.
@@ -54,12 +56,20 @@ mkdir -p "$out"
 parent_dir=${PARENT_DIR:-$out/parent}
 if [ -z "${PARENT_DIR:-}" ]; then
     if [ -d "$parent_dir" ]; then
+        # Only reuse a directory that is itself a checkout; otherwise git
+        # would find the enclosing repository and detach its HEAD.
+        top=$(git -C "$parent_dir" rev-parse --show-toplevel 2>/dev/null || true)
+        if [ "$top" != "$(cd "$parent_dir" && pwd -P)" ]; then
+            echo "bench_pairs.sh: $parent_dir is not a git worktree; remove it" >&2
+            exit 1
+        fi
         git -C "$parent_dir" checkout --quiet --detach "$parent_rev"
     else
         git worktree add --quiet --detach "$parent_dir" "$parent_rev"
     fi
 fi
 parent_dir=$(cd "$parent_dir" && pwd)
+echo "parent: $(git -C "$parent_dir" rev-parse HEAD) in $parent_dir"
 
 # Each checkout builds into its own perfbench/target.
 unset CARGO_TARGET_DIR

@@ -18,8 +18,9 @@
 //! * [`covert`] — §6's covert-channel candidate detector (extension);
 //! * [`windowed`] — longitudinal growth curves, per-window toxicity,
 //!   crossover timing, and the scorer-drift report;
-//! * [`spill`] — out-of-core external-merge aggregation behind the
-//!   Table-2/language tables (byte-identical to the in-memory path);
+//! * [`spill`] — bounded external-merge counting, the report's only
+//!   path for the Table-2/language tables (byte-identical to the
+//!   in-memory references in [`domains`] and [`content`]);
 //! * [`export`] — CSV plot series for every figure;
 //! * [`report`] — the assembled [`report::StudyReport`].
 

@@ -1,11 +1,11 @@
 //! The assembled study report: every §4 table and figure from one crawl.
 
-use crate::content::{language_table, youtube_breakdown, YoutubeBreakdown};
-use crate::domains::{domain_comment_medians, domain_table, tld_table, ShareRow};
+use crate::content::{youtube_breakdown, YoutubeBreakdown};
+use crate::domains::ShareRow;
 use crate::social::{analyze_social, SocialAnalysis};
 use crate::toxicity::{
-    figure4, figure7_dataset, figure8, score_store_pooled, score_texts_pooled, CommentScores,
-    Figure4, Figure7Dataset, Figure8,
+    figure4, figure7_dataset, figure8, score_texts, CommentScores, Figure4, Figure7Dataset,
+    Figure8,
 };
 use crate::url::{census, UrlCensus};
 use crate::users::{
@@ -13,6 +13,7 @@ use crate::users::{
     FlagRow, GabGrowth,
 };
 use crate::votes::{figure5, Figure5};
+use classify::ScorerVersion;
 use crawler::store::CrawlStore;
 use graph::CoreCriteria;
 use ids::ObjectId;
@@ -115,72 +116,39 @@ pub struct StudyReport {
     pub scores: HashMap<ObjectId, CommentScores>,
 }
 
-/// Build the full report from a crawl plus the Table-3 baseline corpora.
-///
-/// `declared_reddit_total` lets the caller report Table 3's full Reddit
-/// corpus size (the crawl materializes capped per-user histories).
-pub fn build_report(
-    store: &CrawlStore,
-    baselines: &[BaselineCorpus],
-    workers: usize,
-) -> StudyReport {
-    build_report_with_metrics(store, baselines, workers, None)
-}
-
-/// [`build_report`] exporting per-scorer throughput to `metrics` (see
-/// [`crate::toxicity::score_texts_with_metrics`]). Spins up a transient
-/// `workers`-sized scoring pool.
-pub fn build_report_with_metrics(
-    store: &CrawlStore,
-    baselines: &[BaselineCorpus],
-    workers: usize,
-    metrics: Option<&obs::Registry>,
-) -> StudyReport {
-    let workers = workers.max(1);
-    let pool = httpnet::ThreadPool::new(workers, workers * 2);
-    build_report_pooled(store, baselines, &pool, metrics)
-}
-
 /// How the report's table aggregations run.
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
-    /// Route the Table-2 TLD/domain tables, per-domain medians, and the
-    /// language table through [`crate::spill`]'s external-merge path
-    /// (bounded resident memory, byte-identical rows).
-    pub out_of_core: bool,
-    /// Distinct resident keys per spill buffer before a run is written.
+    /// Distinct resident keys per [`crate::spill`] buffer before a run
+    /// is written. A table with fewer distinct keys writes no run, so
+    /// the default keeps test-scale tables resident and spills only
+    /// paper-scale key sets; the rows are byte-identical at every
+    /// budget.
     pub spill_budget: usize,
 }
 
 impl Default for ReportOptions {
     fn default() -> Self {
-        Self { out_of_core: false, spill_budget: crate::spill::DEFAULT_SPILL_BUDGET }
+        Self { spill_budget: crate::spill::DEFAULT_SPILL_BUDGET }
     }
 }
 
 impl ReportOptions {
-    /// The out-of-core configuration with the default spill budget.
+    /// The same as [`ReportOptions::default`]: every report counts its
+    /// tables through [`crate::spill`]. Kept for callers that still
+    /// spell the spill path by name.
     pub fn out_of_core() -> Self {
-        Self { out_of_core: true, ..Self::default() }
+        Self::default()
     }
 }
 
-/// [`build_report`] with every scoring pass sharded onto a shared
-/// [`httpnet::ThreadPool`] (see [`score_texts_pooled`] for the
-/// determinism contract and the metrics exported).
-pub fn build_report_pooled(
-    store: &CrawlStore,
-    baselines: &[BaselineCorpus],
-    pool: &httpnet::ThreadPool,
-    metrics: Option<&obs::Registry>,
-) -> StudyReport {
-    build_report_pooled_opts(store, baselines, pool, metrics, &ReportOptions::default())
-}
-
-/// [`build_report_pooled`] with explicit [`ReportOptions`]. With
-/// `out_of_core` set, the share tables and language table aggregate via
-/// external-merge spill files instead of resident hash maps — the
-/// `scale.merge` simcheck oracle holds the two paths byte-identical.
+/// Build the full report from a crawl plus the Table-3 baseline corpora.
+///
+/// Every scoring pass is sharded onto `pool` (see [`score_texts`] for
+/// the determinism contract and the metrics exported). The Table-2
+/// share tables, per-domain medians and the language table count
+/// through [`crate::spill`] at `options.spill_budget`, adding the runs
+/// they write to the `analysis.spill.runs` counter.
 pub fn build_report_pooled_opts(
     store: &CrawlStore,
     baselines: &[BaselineCorpus],
@@ -188,7 +156,16 @@ pub fn build_report_pooled_opts(
     metrics: Option<&obs::Registry>,
     options: &ReportOptions,
 ) -> StudyReport {
-    let scores = score_store_pooled(store, pool, metrics);
+    let launch = ScorerVersion::launch(0);
+    let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
+    comment_ids.sort_unstable();
+    let comment_texts: Vec<&str> =
+        comment_ids.iter().map(|id| store.comments[id].text.as_str()).collect();
+    let dissenter_scored = score_texts(&comment_texts, &launch, pool, metrics);
+    let dissenter_scores: Vec<classify::PerspectiveScores> =
+        dissenter_scored.iter().map(|s| s.perspective).collect();
+    let scores: HashMap<ObjectId, CommentScores> =
+        comment_ids.iter().copied().zip(dissenter_scored).collect();
 
     let ghosts = ghost_users(store);
     let overview = Overview {
@@ -247,17 +224,13 @@ pub fn build_report_pooled_opts(
     };
 
     // Fig. 7: Dissenter + Reddit (crawled texts) + the two baselines.
-    let mut comment_ids: Vec<ObjectId> = scores.keys().copied().collect();
-    comment_ids.sort_unstable();
-    let dissenter_scores: Vec<classify::PerspectiveScores> =
-        comment_ids.iter().map(|id| scores[id].perspective).collect();
     let mut figure7 = vec![figure7_dataset("Dissenter", &dissenter_scores)];
     let reddit_texts: Vec<&str> = reddit_names
         .iter()
         .flat_map(|name| store.reddit[*name].comments.iter().map(String::as_str))
         .collect();
     let reddit_scored: Vec<classify::PerspectiveScores> =
-        score_texts_pooled(&reddit_texts, pool, metrics)
+        score_texts(&reddit_texts, &launch, pool, metrics)
             .iter()
             .map(|s| s.perspective)
             .collect();
@@ -273,7 +246,7 @@ pub fn build_report_pooled_opts(
     for corpus in baselines {
         let texts: Vec<&str> = corpus.comments.iter().map(String::as_str).collect();
         let scored: Vec<classify::PerspectiveScores> =
-            score_texts_pooled(&texts, pool, metrics)
+            score_texts(&texts, &launch, pool, metrics)
                 .iter()
                 .map(|s| s.perspective)
                 .collect();
@@ -287,38 +260,27 @@ pub fn build_report_pooled_opts(
     }
 
     // Table 2 + languages: the only whole-corpus aggregations with
-    // unbounded key sets, so they are the ones the out-of-core path
-    // reroutes. Spill-run I/O hits the temp dir only; failure there is
+    // unbounded key sets, so they count through bounded spill buffers.
+    // Spill-run I/O hits the temp dir only; failure there is
     // unrecoverable for the run.
-    let (tlds, domains, domain_medians, languages) = if options.out_of_core {
-        let budget = options.spill_budget;
-        (
-            crate::spill::tld_table_spilled(url_strings.iter().copied(), 12, budget)
-                .expect("spill run I/O"),
-            crate::spill::domain_table_spilled(url_strings.iter().copied(), 12, budget)
-                .expect("spill run I/O"),
-            crate::spill::domain_comment_medians_spilled(
-                url_comment_counts.iter().copied(),
-                1,
-                budget,
-            )
-            .expect("spill run I/O")
-            .into_iter()
-            .take(12)
-            .collect(),
-            crate::spill::language_table_spilled(store, budget).expect("spill run I/O"),
-        )
-    } else {
-        (
-            tld_table(url_strings.iter().copied(), 12),
-            domain_table(url_strings.iter().copied(), 12),
-            domain_comment_medians(url_comment_counts.iter().copied(), 1)
-                .into_iter()
-                .take(12)
-                .collect(),
-            language_table(store),
-        )
-    };
+    let budget = options.spill_budget;
+    let tlds = crate::spill::tld_table_spilled(url_strings.iter().copied(), 12, budget, metrics)
+        .expect("spill run I/O");
+    let domains =
+        crate::spill::domain_table_spilled(url_strings.iter().copied(), 12, budget, metrics)
+            .expect("spill run I/O");
+    let domain_medians = crate::spill::domain_comment_medians_spilled(
+        url_comment_counts.iter().copied(),
+        1,
+        budget,
+        metrics,
+    )
+    .expect("spill run I/O")
+    .into_iter()
+    .take(12)
+    .collect();
+    let languages =
+        crate::spill::language_table_spilled(store, budget, metrics).expect("spill run I/O");
 
     StudyReport {
         overview,
@@ -344,7 +306,7 @@ pub fn build_report_pooled_opts(
 
 #[cfg(test)]
 mod tests {
-    // `build_report` is exercised end-to-end by the workspace integration
-    // tests (tests/full_study.rs) against a crawled world; unit coverage
-    // for each section lives in the sibling modules.
+    // `build_report_pooled_opts` is exercised end-to-end by the
+    // workspace integration tests (tests/full_study.rs) against a crawled
+    // world; unit coverage for each section lives in the sibling modules.
 }

@@ -8,7 +8,10 @@
 //! with the corpus. This module provides the same tables with **bounded
 //! resident memory**: keys stream into a small in-memory buffer that
 //! spills sorted runs to temp files when full, and a canonical
-//! ascending-key merge recombines the runs into exact totals.
+//! ascending-key merge recombines the runs into exact totals. It is the
+//! report's only table path: below its budget a counter writes no run,
+//! so small corpora never touch the disk, and the in-memory functions
+//! remain only as test and oracle references.
 //!
 //! Byte-identity contract: integer counting is exact, runs merge by key
 //! with counts summed (`u64` addition is associative), and the final
@@ -17,7 +20,7 @@
 //! byte-for-byte identical to [`crate::domains::share_table`] /
 //! [`crate::domains::domain_comment_medians`] /
 //! [`crate::content::language_table`] output at any spill budget,
-//! which the `scale.merge` simcheck oracle enforces.
+//! which the `scale.spill` and `scale.merge` simcheck legs enforce.
 //!
 //! Spill-file format: one `"{key}\t{count}\n"` line per distinct key,
 //! keys in ascending byte order (keys must not contain `\t` or `\n`;
@@ -74,7 +77,12 @@ impl ExternalCounter {
             !key.contains('\t') && !key.contains('\n'),
             "spill keys must not contain separators"
         );
-        *self.resident.entry(key.to_owned()).or_insert(0) += weight;
+        match self.resident.get_mut(key) {
+            Some(count) => *count += weight,
+            None => {
+                self.resident.insert(key.to_owned(), weight);
+            }
+        }
         self.total += weight;
         if self.resident.len() >= self.budget {
             self.spill_run()?;
@@ -95,6 +103,13 @@ impl ExternalCounter {
     /// Number of spill runs written so far (for tests and bench stats).
     pub fn runs(&self) -> usize {
         self.runs.len()
+    }
+
+    /// Add [`Self::runs`] to the `analysis.spill.runs` counter.
+    fn count_runs(&self, metrics: Option<&obs::Registry>) {
+        if let Some(registry) = metrics {
+            registry.add("analysis.spill.runs", self.runs.len() as u64);
+        }
     }
 
     fn spill_run(&mut self) -> io::Result<()> {
@@ -169,6 +184,13 @@ fn merge_runs(
     resident: BTreeMap<String, u64>,
     visit: &mut impl FnMut(&str, u64),
 ) -> io::Result<()> {
+    // Failpoint: lose the first spill run — the silent undercount the
+    // `scale.*` simcheck legs exist to catch.
+    let runs = if crate::windowed::mutation("drop_spill_run") {
+        runs.get(1..).unwrap_or_default()
+    } else {
+        runs
+    };
     let mut heads: Vec<RunHead> = Vec::with_capacity(runs.len() + 1);
     for path in runs {
         heads.push(RunHead {
@@ -267,16 +289,19 @@ impl TopK {
 }
 
 /// [`crate::domains::share_table`] with spill runs: identical rows for
-/// any `budget`.
+/// any `budget`. Every `*_spilled` table adds the runs it wrote to the
+/// `analysis.spill.runs` counter in `metrics`.
 pub fn share_table_spilled(
     keys: impl Iterator<Item = String>,
     top: usize,
     budget: usize,
+    metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<ShareRow>> {
     let mut counter = ExternalCounter::new(budget);
     for k in keys {
         counter.add(&k)?;
     }
+    counter.count_runs(metrics);
     let total = counter.total();
     let mut topk = TopK::new(top);
     counter.finish(|key, count| topk.push(key, count))?;
@@ -288,6 +313,7 @@ pub fn tld_table_spilled<'a>(
     urls: impl Iterator<Item = &'a str>,
     top: usize,
     budget: usize,
+    metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<ShareRow>> {
     share_table_spilled(
         urls.filter_map(|u| {
@@ -300,6 +326,7 @@ pub fn tld_table_spilled<'a>(
         }),
         top,
         budget,
+        metrics,
     )
 }
 
@@ -308,6 +335,7 @@ pub fn domain_table_spilled<'a>(
     urls: impl Iterator<Item = &'a str>,
     top: usize,
     budget: usize,
+    metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<ShareRow>> {
     share_table_spilled(
         urls.filter_map(|u| {
@@ -316,6 +344,7 @@ pub fn domain_table_spilled<'a>(
         }),
         top,
         budget,
+        metrics,
     )
 }
 
@@ -340,6 +369,7 @@ pub fn domain_comment_medians_spilled<'a>(
     url_comments: impl Iterator<Item = (&'a str, usize)>,
     min_urls: usize,
     budget: usize,
+    metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<(String, usize, f64)>> {
     let mut counter = ExternalCounter::new(budget);
     for (url, n) in url_comments {
@@ -349,6 +379,7 @@ pub fn domain_comment_medians_spilled<'a>(
             }
         }
     }
+    counter.count_runs(metrics);
 
     // Per-domain accumulation over the ascending (domain, value) stream:
     // value multiplicities arrive in ascending value order, so the
@@ -405,12 +436,14 @@ pub fn domain_comment_medians_spilled<'a>(
 pub fn language_table_spilled(
     store: &crawler::store::CrawlStore,
     budget: usize,
+    metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<(textkit::langid::Lang, usize, f64)>> {
     use textkit::langid::Lang;
     let mut counter = ExternalCounter::new(budget);
     for c in store.comments.values() {
         counter.add(textkit::detect(&c.text).code())?;
     }
+    counter.count_runs(metrics);
     let total = counter.total() as usize;
     let mut rows: Vec<(Lang, usize, f64)> = Vec::new();
     counter.finish(|code, count| {
@@ -445,7 +478,7 @@ mod tests {
         let keys: Vec<String> = urls();
         let want = share_table(keys.iter().cloned(), 12);
         for budget in [1, 2, 7, 64, 100_000] {
-            let have = share_table_spilled(keys.iter().cloned(), 12, budget).unwrap();
+            let have = share_table_spilled(keys.iter().cloned(), 12, budget, None).unwrap();
             assert_eq!(have, want, "budget {budget}");
         }
     }
@@ -457,11 +490,11 @@ mod tests {
         let want_dom = domain_table(u.iter().map(String::as_str), 12);
         for budget in [3, 1000] {
             assert_eq!(
-                tld_table_spilled(u.iter().map(String::as_str), 12, budget).unwrap(),
+                tld_table_spilled(u.iter().map(String::as_str), 12, budget, None).unwrap(),
                 want_tld
             );
             assert_eq!(
-                domain_table_spilled(u.iter().map(String::as_str), 12, budget).unwrap(),
+                domain_table_spilled(u.iter().map(String::as_str), 12, budget, None).unwrap(),
                 want_dom
             );
         }
@@ -479,6 +512,7 @@ mod tests {
                 data.iter().map(|(u, n)| (u.as_str(), *n)),
                 2,
                 budget,
+                None,
             )
             .unwrap();
             assert_eq!(have.len(), want.len(), "budget {budget}");
@@ -506,9 +540,20 @@ mod tests {
     }
 
     #[test]
+    fn tables_count_their_runs_into_the_registry() {
+        let keys = urls();
+        for (budget, spills) in [(2, true), (100_000, false)] {
+            let metrics = obs::Registry::new();
+            share_table_spilled(keys.iter().cloned(), 12, budget, Some(&metrics)).unwrap();
+            let runs = metrics.counter("analysis.spill.runs").get();
+            assert_eq!(runs > 0, spills, "budget {budget}: {runs} runs");
+        }
+    }
+
+    #[test]
     fn empty_inputs_are_safe() {
-        assert!(share_table_spilled(std::iter::empty(), 12, 8).unwrap().is_empty());
-        assert!(domain_comment_medians_spilled(std::iter::empty(), 1, 8)
+        assert!(share_table_spilled(std::iter::empty(), 12, 8, None).unwrap().is_empty());
+        assert!(domain_comment_medians_spilled(std::iter::empty(), 1, 8, None)
             .unwrap()
             .is_empty());
     }

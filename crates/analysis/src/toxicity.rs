@@ -22,28 +22,13 @@ pub struct CommentScores {
     pub dictionary: f64,
 }
 
-/// Score a batch of texts in parallel (sharded on a transient pool).
-pub fn score_texts(texts: &[&str], workers: usize) -> Vec<CommentScores> {
-    score_texts_with_metrics(texts, workers, None)
-}
-
-/// [`score_texts`], exporting per-scorer throughput to `metrics` (see
-/// [`score_texts_pooled`]). Spins up a transient `workers`-sized pool;
-/// callers that already own a pool should prefer the pooled variant.
-pub fn score_texts_with_metrics(
-    texts: &[&str],
-    workers: usize,
-    metrics: Option<&obs::Registry>,
-) -> Vec<CommentScores> {
-    let workers = workers.max(1);
-    let pool = httpnet::ThreadPool::new(workers, workers * 2);
-    score_texts_pooled(texts, &pool, metrics)
-}
-
-/// Score a batch of texts on a shared [`httpnet::ThreadPool`], split
-/// into fixed-size index-ordered shards and merged in shard order —
-/// byte-identical output for any pool size (scoring is a pure function
-/// of the text).
+/// Score a batch of texts under `version` on a shared
+/// [`httpnet::ThreadPool`], split into fixed-size index-ordered shards
+/// and merged in shard order — byte-identical output for any pool size
+/// (scoring is a pure function of the text). The launch revision
+/// ([`ScorerVersion::launch`]) is the standard model; the windowed
+/// longitudinal analysis passes drifted revisions to reproduce
+/// mid-study scorer retraining.
 ///
 /// Exports per-scorer throughput to `metrics`:
 /// `classify.<scorer>.comments` counters (text counts, deterministic),
@@ -52,20 +37,7 @@ pub fn score_texts_with_metrics(
 /// over summed cross-shard busy time), plus `shard.classify.score.*`
 /// shard execution metrics (deterministic `jobs`/`items` counts,
 /// wall-clock `busy`/`gather` histograms).
-pub fn score_texts_pooled(
-    texts: &[&str],
-    pool: &httpnet::ThreadPool,
-    metrics: Option<&obs::Registry>,
-) -> Vec<CommentScores> {
-    score_texts_versioned_pooled(texts, &ScorerVersion::launch(0), pool, metrics)
-}
-
-/// [`score_texts_pooled`] under a specific [`ScorerVersion`]. The launch
-/// revision (or any zero-drift revision) scores bit-identically to the
-/// standard model, so the unversioned entry points delegate here; the
-/// windowed longitudinal analysis passes drifted revisions to reproduce
-/// mid-study scorer retraining.
-pub fn score_texts_versioned_pooled(
+pub fn score_texts(
     texts: &[&str],
     version: &ScorerVersion,
     pool: &httpnet::ThreadPool,
@@ -126,36 +98,6 @@ pub fn score_texts_versioned_pooled(
         }
     }
     out.into_iter().flat_map(|(scores, _, _)| scores).collect()
-}
-
-/// All Dissenter comments scored, keyed by comment-id.
-pub fn score_store(store: &CrawlStore, workers: usize) -> HashMap<ObjectId, CommentScores> {
-    score_store_with_metrics(store, workers, None)
-}
-
-/// [`score_store`] with per-scorer metrics (see
-/// [`score_texts_with_metrics`]).
-pub fn score_store_with_metrics(
-    store: &CrawlStore,
-    workers: usize,
-    metrics: Option<&obs::Registry>,
-) -> HashMap<ObjectId, CommentScores> {
-    let workers = workers.max(1);
-    let pool = httpnet::ThreadPool::new(workers, workers * 2);
-    score_store_pooled(store, &pool, metrics)
-}
-
-/// [`score_store`] on a shared pool (see [`score_texts_pooled`]).
-pub fn score_store_pooled(
-    store: &CrawlStore,
-    pool: &httpnet::ThreadPool,
-    metrics: Option<&obs::Registry>,
-) -> HashMap<ObjectId, CommentScores> {
-    let items: Vec<(&ObjectId, &str)> =
-        store.comments.iter().map(|(id, c)| (id, c.text.as_str())).collect();
-    let texts: Vec<&str> = items.iter().map(|(_, t)| *t).collect();
-    let scores = score_texts_pooled(&texts, pool, metrics);
-    items.iter().map(|(id, _)| **id).zip(scores).collect()
 }
 
 /// One Figure-4 style dataset: streaming ECDF sketches of the three
@@ -338,8 +280,9 @@ mod tests {
             .map(|i| format!("comment number {i} about the news and the media today"))
             .collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let par = score_texts(&refs, 4);
-        let ser = score_texts(&refs, 1);
+        let launch = ScorerVersion::launch(0);
+        let par = score_texts(&refs, &launch, &httpnet::ThreadPool::new(4, 8), None);
+        let ser = score_texts(&refs, &launch, &httpnet::ThreadPool::new(1, 2), None);
         assert_eq!(par.len(), ser.len());
         for (a, b) in par.iter().zip(&ser) {
             assert_eq!(a.perspective.severe_toxicity, b.perspective.severe_toxicity);
@@ -361,7 +304,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        assert!(score_texts(&[], 4).is_empty());
+        let pool = httpnet::ThreadPool::new(4, 8);
+        assert!(score_texts(&[], &ScorerVersion::launch(0), &pool, None).is_empty());
         let d = figure7_dataset("Empty", &[]);
         assert_eq!(d.n, 0);
     }

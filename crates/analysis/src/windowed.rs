@@ -19,7 +19,7 @@
 //! revisions, and flags windows whose deltas are large enough to change
 //! conclusions.
 
-use crate::toxicity::score_texts_versioned_pooled;
+use crate::toxicity::score_texts;
 use classify::ScorerVersion;
 use crawler::store::CrawlStore;
 use ids::clock::format_date;
@@ -157,7 +157,7 @@ pub fn window_toxicity(
 ) -> WindowToxicity {
     let ids = window_comment_ids(store, window);
     let texts: Vec<&str> = ids.iter().map(|id| store.comments[id].text.as_str()).collect();
-    let scores = score_texts_versioned_pooled(&texts, version, pool, metrics);
+    let scores = score_texts(&texts, version, pool, metrics);
     let n = scores.len();
     let (mut severe, mut reject, mut attack) = (0.0f64, 0.0f64, 0.0f64);
     for s in &scores {
@@ -221,7 +221,9 @@ impl DriftReport {
     }
 }
 
-fn mutation(name: &str) -> bool {
+/// Mutation failpoint shared by this crate's simcheck smokes: `true`
+/// when `SIMCHECK_MUTATE` names `name` (read once per process).
+pub(crate) fn mutation(name: &str) -> bool {
     static ACTIVE: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
     ACTIVE.get_or_init(|| std::env::var("SIMCHECK_MUTATE").ok()).as_deref() == Some(name)
 }
@@ -269,8 +271,8 @@ pub fn drift_report(
             });
             continue;
         }
-        let old = score_texts_versioned_pooled(&texts, prev, pool, metrics);
-        let new = score_texts_versioned_pooled(&texts, cur, pool, metrics);
+        let old = score_texts(&texts, prev, pool, metrics);
+        let new = score_texts(&texts, cur, pool, metrics);
         let n = texts.len();
         let (mut dsev, mut drej, mut dmax) = (0.0f64, 0.0f64, 0.0f64);
         for (o, s) in old.iter().zip(&new) {

@@ -37,7 +37,10 @@ fn bench_artifacts(c: &mut Criterion) {
     });
     // E10 / Fig. 7 scoring (the dominant analysis cost).
     g.bench_function("fig7_score_all_comments", |b| {
-        b.iter(|| black_box(analysis::toxicity::score_store(store, 8)));
+        let pool = httpnet::ThreadPool::new(8, 16);
+        let texts: Vec<&str> = store.comments.values().map(|c| c.text.as_str()).collect();
+        let launch = classify::ScorerVersion::launch(0);
+        b.iter(|| black_box(analysis::toxicity::score_texts(&texts, &launch, &pool, None)));
     });
     // E7 / Fig. 4 + E11 / Fig. 8 from cached scores.
     g.bench_function("fig4_fig8_aggregation", |b| {
@@ -70,8 +73,18 @@ fn bench_stages(c: &mut Criterion) {
     });
     g.bench_function("full_report_build", |b| {
         let study = bench_study();
+        let pool = httpnet::ThreadPool::new(8, 16);
+        let options = analysis::ReportOptions::default();
         // Rebuild the report (scoring + all aggregations) from the crawl.
-        b.iter(|| black_box(analysis::report::build_report(&study.store, &[], 8)));
+        b.iter(|| {
+            black_box(analysis::report::build_report_pooled_opts(
+                &study.store,
+                &[],
+                &pool,
+                None,
+                &options,
+            ))
+        });
     });
     g.finish();
 }

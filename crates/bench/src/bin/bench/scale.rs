@@ -1,9 +1,10 @@
-//! `scale` suite: run the out-of-core study (default scale 1.0) under a
-//! hard peak-RSS ceiling.
+//! `scale` suite: run the study (default scale 1.0) under a hard
+//! peak-RSS ceiling. The study streams its world and counts its report
+//! tables through bounded spill buffers, so nothing needs switching on.
 //!
 //! Gates:
-//! * **memory** — the study runs with `out_of_core: true` and a
-//!   `MemoryBudget` at the configured ceiling (default 4 GiB). The
+//! * **memory** — the study runs under a `MemoryBudget` at the
+//!   configured ceiling (default 4 GiB). The
 //!   budget is checked inside `run_study` at every stage boundary and
 //!   every 100k streamed world items, so *completing at all* proves the
 //!   ceiling held; the suite additionally gates the recorded
@@ -70,7 +71,6 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     let budget = MemoryBudget::gib(budget_gib);
     let mut builder = Study::builder()
         .scale(Scale::Custom(args.get("--scale", 1.0)?))
-        .out_of_core(true)
         .svm(!args.has("--skip-svm"))
         .workers(workers)
         .memory_budget(budget);
@@ -84,7 +84,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     let ceiling = budget.ceiling_bytes().ok_or("--budget-gib must be finite")?;
 
     eprintln!(
-        "scale: out-of-core study at scale factor {:.4}, {workers} workers, \
+        "scale: study at scale factor {:.4}, {workers} workers, \
          {budget_gib} GiB budget ...",
         cfg.world.scale.factor()
     );
@@ -99,7 +99,6 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
             .with("seed", cfg.world.seed)
             .with("scale", study.scale_factor)
             .with("workers", workers)
-            .with("out_of_core", true)
             .with("budget_bytes", ceiling),
     );
     report.metric("comments", overview.comments);

@@ -61,11 +61,6 @@ pub struct StudyConfig {
     /// study through an adverse network to exercise the crawler's
     /// resilience layer. Defaults to no faults.
     pub faults: httpnet::FaultConfig,
-    /// Route the report's whole-corpus table aggregations through the
-    /// external-merge spill path ([`analysis::spill`]): bounded resident
-    /// memory, byte-identical output. Figure inputs always stream
-    /// through [`stats::EcdfSketch`]es regardless of this flag.
-    pub out_of_core: bool,
     /// Peak-RSS ceiling enforced at stage boundaries (see
     /// [`MemoryBudget`]). Default: unlimited.
     pub memory_budget: MemoryBudget,
@@ -92,7 +87,6 @@ pub struct StudyConfig {
 ///     .scale(Scale::Custom(0.01))
 ///     .workers(4)
 ///     .svm(false)
-///     .out_of_core(true)
 ///     .memory_budget(MemoryBudget::gib(4.0))
 ///     .build()
 ///     .expect("valid study config");
@@ -114,7 +108,6 @@ impl Default for StudyBuilder {
                 svm_corpus: 2_000,
                 skip_svm: false,
                 faults: httpnet::FaultConfig::none(),
-                out_of_core: false,
                 memory_budget: MemoryBudget::unlimited(),
                 journal_dir: None,
                 revalidation: None,
@@ -249,12 +242,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Route report table aggregations through the spill path.
-    pub fn out_of_core(mut self, on: bool) -> Self {
-        self.cfg.out_of_core = on;
-        self
-    }
-
     /// Validate the composition; returns every recorded problem at once.
     pub fn build(self) -> Result<StudyConfig, String> {
         if self.errors.is_empty() {
@@ -379,12 +366,13 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
     };
 
     let span = metrics.span("stage.report");
-    let report_options = ReportOptions {
-        out_of_core: cfg.out_of_core,
-        ..ReportOptions::default()
-    };
-    let report =
-        build_report_pooled_opts(&store, &baselines, &pool, Some(&metrics), &report_options);
+    let report = build_report_pooled_opts(
+        &store,
+        &baselines,
+        &pool,
+        Some(&metrics),
+        &ReportOptions::default(),
+    );
     span.finish();
     budget.check("report");
 
@@ -439,13 +427,12 @@ mod tests {
             .journal("/tmp/does-not-run")
             .revalidation(256)
             .memory_budget(MemoryBudget::gib(4.0))
-            .out_of_core(true)
             .build()
             .expect("valid study config");
         assert_eq!(cfg.world.seed, 99);
         assert_eq!(cfg.crawl.workers, 2);
         assert_eq!(cfg.crawl.retries, 5);
-        assert!(cfg.skip_svm && cfg.out_of_core);
+        assert!(cfg.skip_svm);
         assert_eq!(cfg.revalidation, Some(256));
         assert_eq!(cfg.memory_budget.ceiling_bytes(), Some(4 * (1u64 << 30)));
         assert!(cfg.journal_dir.is_some());
@@ -544,27 +531,35 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_study_is_byte_identical() {
-        let base = Study::builder()
+    fn spilled_report_renders_like_the_study() {
+        let cfg = Study::builder()
             .scale(Scale::Custom(0.002))
             .svm(false)
-            .build()
-            .expect("valid study config");
-        let ooc = Study::builder()
-            .scale(Scale::Custom(0.002))
-            .svm(false)
-            .out_of_core(true)
             .memory_budget(MemoryBudget::gib(64.0))
             .build()
             .expect("valid study config");
-        let a = run_study(&base);
-        let b = run_study(&ooc);
+        let mut study = run_study(&cfg);
+        let want = render::deterministic(&study);
+        let (world, _) = synth::generate(&cfg.world);
+        let pool = httpnet::ThreadPool::new(2, 4);
+        let metrics = obs::Registry::new();
+        study.report = build_report_pooled_opts(
+            &study.store,
+            &world.baselines,
+            &pool,
+            Some(&metrics),
+            &ReportOptions { spill_budget: 16 },
+        );
+        assert!(
+            metrics.counter("analysis.spill.runs").get() > 0,
+            "a 16-key budget must write spill runs"
+        );
         assert_eq!(
-            render::deterministic(&a),
-            render::deterministic(&b),
+            render::deterministic(&study),
+            want,
             "spilled tables must not change a single report byte"
         );
-        assert!(b.runstats.peak_rss_bytes > 0, "budgeted run recorded its peak");
+        assert!(study.runstats.peak_rss_bytes > 0, "budgeted run recorded its peak");
     }
 
     #[test]

@@ -48,7 +48,7 @@
 
 use crate::runstats;
 use crate::{Study, StudyConfig};
-use analysis::report::build_report_pooled;
+use analysis::report::{build_report_pooled_opts, ReportOptions};
 use analysis::windowed::{
     crossover_window, drift_csv, drift_report, epoch_end, growth_csv, growth_curve,
     window_toxicity, window_toxicity_csv, DriftReport, GrowthRow, WindowToxicity,
@@ -263,7 +263,13 @@ fn finish(
         &pool,
         Some(&metrics),
     );
-    let report = build_report_pooled(&store, &world.baselines, &pool, Some(&metrics));
+    let report = build_report_pooled_opts(
+        &store,
+        &world.baselines,
+        &pool,
+        Some(&metrics),
+        &ReportOptions::default(),
+    );
     let runstats = runstats::collect(&metrics);
     let study = Study {
         report,

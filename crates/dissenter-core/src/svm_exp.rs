@@ -37,31 +37,14 @@ pub struct SvmReport {
     pub class_shares: [f64; 3],
 }
 
-/// Run the full experiment against a crawl, serially.
-pub fn run_svm_experiment(store: &CrawlStore, corpus_size: usize, seed: u64) -> SvmReport {
-    run_svm_experiment_with_metrics(store, corpus_size, seed, None)
-}
-
-/// [`run_svm_experiment`] exporting scorer metrics; spins up a transient
-/// single-worker pool (see [`run_svm_experiment_pooled`] for the metrics
-/// exported).
-pub fn run_svm_experiment_with_metrics(
-    store: &CrawlStore,
-    corpus_size: usize,
-    seed: u64,
-    metrics: Option<&obs::Registry>,
-) -> SvmReport {
-    let pool = httpnet::ThreadPool::new(1, 2);
-    run_svm_experiment_pooled(store, corpus_size, seed, &pool, metrics)
-}
-
-/// [`run_svm_experiment`] with cross-validation folds and the comment
-/// application pass scattered onto `pool`, exporting scorer metrics to
-/// `metrics`: `classify.svm.comments` (comments the final model scored —
-/// deterministic), `classify.svm.train` / `classify.svm.apply` busy-time
-/// histograms, a `classify.svm.comments_per_sec` application-rate gauge,
-/// plus the `shard.svm.cv.*` / `shard.svm.apply.*` scatter instrumentation
-/// from [`httpnet::ThreadPool::scatter_labeled`].
+/// Run the full experiment against a crawl, with cross-validation folds
+/// and the comment application pass scattered onto `pool`, exporting
+/// scorer metrics to `metrics`: `classify.svm.comments` (comments the
+/// final model scored — deterministic), `classify.svm.train` /
+/// `classify.svm.apply` busy-time histograms, a
+/// `classify.svm.comments_per_sec` application-rate gauge, plus the
+/// `shard.svm.cv.*` / `shard.svm.apply.*` scatter instrumentation from
+/// [`httpnet::ThreadPool::scatter_labeled`].
 pub fn run_svm_experiment_pooled(
     store: &CrawlStore,
     corpus_size: usize,
@@ -206,7 +189,8 @@ mod tests {
     #[test]
     fn svm_experiment_reaches_paper_band_on_synthetic_corpus() {
         let store = CrawlStore::default();
-        let r = run_svm_experiment(&store, 1_500, 42);
+        let pool = httpnet::ThreadPool::new(1, 2);
+        let r = run_svm_experiment_pooled(&store, 1_500, 42, &pool, None);
         assert!(r.cv_f1 > 0.8, "weighted F1 {}", r.cv_f1);
         assert!(r.grid.len() == 3);
         // Empty store → no comment application.

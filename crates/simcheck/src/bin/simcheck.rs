@@ -16,8 +16,9 @@
 //! (seeded hostile profiles against hardened services); `--family
 //! longitudinal` restricts to the sweep-composition family (incremental
 //! sweeps over an evolving world vs a one-shot study); `--family scale`
-//! restricts to the out-of-core family (streamed world generation and
-//! spilled/merged analysis vs the in-memory reference path).
+//! restricts to the out-of-core family (streamed world generation, the
+//! spill tables vs their in-memory references, and the report rebuilt
+//! at a budget that spills).
 
 use simcheck::{check_scenario_family, replay, shrink, Family, Scenario};
 use std::path::PathBuf;

@@ -47,12 +47,13 @@
 //! 9. **out-of-core scale path** (`scale.*`) — the streaming
 //!    [`synth::WorldSource`] drained at the scenario's seeded batch size
 //!    (and worker count) must rebuild a world content-identical to the
-//!    materialized generator's, and a study routed through the
-//!    external-merge spill tables — plus the spill primitives themselves
-//!    under a deliberately tiny byte budget — must reproduce the
-//!    in-memory path byte for byte.
+//!    materialized generator's; the spill primitives under a
+//!    deliberately tiny key budget must reproduce their in-memory twins;
+//!    and the study's report rebuilt at that budget must spill and still
+//!    render and export byte for byte like the study's own.
 
 use crate::scenario::Scenario;
+use analysis::StudyReport;
 use crawler::store::ShadowLabel;
 use crawler::CrawlStore;
 use dissenter_core::{render, run_study, Study};
@@ -122,7 +123,7 @@ pub fn check_scenario_family(sc: &Scenario, family: Family) -> Result<(), Failur
         Family::Crash => crash_recovery(sc),
         Family::Abuse => abuse_traffic(sc),
         Family::Longitudinal => longitudinal_sweeps(sc),
-        Family::Scale => scale_out_of_core(sc),
+        Family::Scale => scale_budget_sweep(sc),
     }
 }
 
@@ -153,7 +154,7 @@ pub fn check_scenario(sc: &Scenario) -> Result<(), Failure> {
     crash_recovery(sc)?;
     abuse_traffic(sc)?;
     longitudinal_sweeps(sc)?;
-    scale_out_of_core(sc)
+    scale_budget_sweep(sc)
 }
 
 /// Oracle 9: the out-of-core scale path. Three legs:
@@ -167,18 +168,23 @@ pub fn check_scenario(sc: &Scenario) -> Result<(), Failure> {
 ///   the streaming refactor leaked either into sampling order or into
 ///   per-batch text synthesis.
 /// * `scale.spill` — the external-merge primitives under the scenario's
-///   deliberately tiny byte budget (every armed run writes real spill
-///   files) must reproduce the in-memory TLD/domain/median tables
-///   exactly, on the very URL/comment population the study analyzed.
-/// * `scale.merge` — a full study routed through the spill path
-///   (`out_of_core = true`) must render byte-identically to the
-///   in-memory study and export byte-identical CSVs.
+///   deliberately tiny key budget must reproduce the in-memory TLD,
+///   domain, per-domain median and language tables exactly, on the very
+///   URL/comment population the study analyzed. The in-memory tables
+///   are references only: the report always counts through the spill
+///   path.
+/// * `scale.merge` — the study's report rebuilt at the scenario's
+///   budget must write at least one spill run (`analysis.spill.runs`),
+///   render byte-identically to the study's own report (counted at the
+///   default budget, which no scenario world reaches, so no run is
+///   written), and export byte-identical CSVs — a budget sweep over one
+///   code path.
 ///
 /// Runs on the control config (clean network): fault × spill
 /// interactions belong to the differential family. `stream_batch == 0`
 /// disables the family — the shrinker's off switch and the default for
 /// replays written before it existed.
-fn scale_out_of_core(sc: &Scenario) -> Result<(), Failure> {
+fn scale_budget_sweep(sc: &Scenario) -> Result<(), Failure> {
     if sc.stream_batch == 0 {
         return Ok(()); // family disabled (shrunk away, or a pre-scale replay)
     }
@@ -229,43 +235,64 @@ fn scale_out_of_core(sc: &Scenario) -> Result<(), Failure> {
 
     // scale.spill — external-merge primitives vs their in-memory twins,
     // on the study's own URL and comment population.
-    let urls: Vec<&str> = reference.dissenter.urls().iter().map(|u| u.url.as_str()).collect();
-    let spilled = analysis::spill::tld_table_spilled(urls.iter().copied(), 12, sc.spill_budget)
-        .map_err(|e| fail("scale.spill", format!("tld spill I/O: {e}")))?;
-    let resident = analysis::domains::tld_table(urls.iter().copied(), 12);
-    if spilled != resident {
-        return Err(fail(
-            "scale.spill",
-            format!(
-                "TLD table diverges under a {}-byte spill budget: {spilled:?} vs {resident:?}",
-                sc.spill_budget
-            ),
-        ));
+    let mut study = run_study(&cfg);
+    let store = &study.store;
+    let spill_fail = |e: std::io::Error| fail("scale.spill", format!("spill run I/O: {e}"));
+    let budget = sc.spill_budget;
+    let diverges = |table: &str| {
+        fail("scale.spill", format!("{table} table diverges under a {budget}-key spill budget"))
+    };
+    let urls: Vec<&str> = store.urls.values().map(|u| u.url.as_str()).collect();
+    let spilled = analysis::spill::tld_table_spilled(urls.iter().copied(), 12, budget, None)
+        .map_err(spill_fail)?;
+    if spilled != analysis::domains::tld_table(urls.iter().copied(), 12) {
+        return Err(diverges("TLD"));
     }
-    let spilled = analysis::spill::domain_table_spilled(urls.iter().copied(), 12, sc.spill_budget)
-        .map_err(|e| fail("scale.spill", format!("domain spill I/O: {e}")))?;
-    let resident = analysis::domains::domain_table(urls.iter().copied(), 12);
-    if spilled != resident {
-        return Err(fail(
-            "scale.spill",
-            format!("domain table diverges under a {}-byte spill budget", sc.spill_budget),
-        ));
+    let spilled = analysis::spill::domain_table_spilled(urls.iter().copied(), 12, budget, None)
+        .map_err(spill_fail)?;
+    if spilled != analysis::domains::domain_table(urls.iter().copied(), 12) {
+        return Err(diverges("domain"));
+    }
+    let url_comments: Vec<(&str, usize)> =
+        store.urls.values().map(|u| (u.url.as_str(), u.declared_comment_count)).collect();
+    let spilled = analysis::spill::domain_comment_medians_spilled(
+        url_comments.iter().copied(),
+        1,
+        budget,
+        None,
+    )
+    .map_err(spill_fail)?;
+    let resident = analysis::domains::domain_comment_medians(url_comments.iter().copied(), 1);
+    let bits = |rows: &[(String, usize, f64)]| -> Vec<(String, usize, u64)> {
+        rows.iter().map(|(d, n, m)| (d.clone(), *n, m.to_bits())).collect()
+    };
+    if bits(&spilled) != bits(&resident) {
+        return Err(diverges("per-domain median"));
+    }
+    let languages = analysis::spill::language_table_spilled(store, budget, None)
+        .map_err(spill_fail)?;
+    if languages != analysis::content::language_table(store) {
+        return Err(diverges("language"));
     }
 
-    // scale.merge — the full out-of-core study against the in-memory one.
-    let in_memory = run_study(&cfg);
-    let mut ooc_cfg = cfg;
-    ooc_cfg.out_of_core = true;
-    let out_of_core = run_study(&ooc_cfg);
-    let ra = render::deterministic(&in_memory);
-    let rb = render::deterministic(&out_of_core);
-    if ra != rb {
+    // scale.merge — the control study's report rebuilt at the scenario's
+    // spill budget must render and export byte-identically to the
+    // study's own report (counted at the default budget, which no
+    // scenario world reaches), and must actually have spilled.
+    let metrics = obs::Registry::new();
+    let workers = sc.workers.max(1);
+    let pool = httpnet::ThreadPool::new(workers, workers * 2);
+    let rebuilt = analysis::report::build_report_pooled_opts(
+        store,
+        &reference.baselines,
+        &pool,
+        Some(&metrics),
+        &analysis::ReportOptions { spill_budget: budget },
+    );
+    if metrics.counter("analysis.spill.runs").get() == 0 {
         return Err(fail(
             "scale.merge",
-            format!(
-                "out-of-core study renders differently from the in-memory study: {}",
-                first_diff_line(&ra, &rb)
-            ),
+            format!("a {budget}-key spill budget wrote no spill run — the leg is vacuous"),
         ));
     }
     let base = std::env::temp_dir().join(format!(
@@ -273,32 +300,22 @@ fn scale_out_of_core(sc: &Scenario) -> Result<(), Failure> {
         std::process::id(),
         sc.seed
     ));
-    let io_fail = |e: std::io::Error| Failure::new("scale.io", e.to_string());
-    let result = (|| {
-        let (dir_a, dir_b) = (base.join("csv-memory"), base.join("csv-spilled"));
-        let files_a = analysis::export::export_csv(&in_memory.report, &dir_a).map_err(io_fail)?;
-        let files_b =
-            analysis::export::export_csv(&out_of_core.report, &dir_b).map_err(io_fail)?;
-        if files_a != files_b {
-            return Err(fail(
-                "scale.merge",
-                format!("export file sets differ: {files_a:?} vs {files_b:?}"),
-            ));
-        }
-        for name in &files_a {
-            let a = std::fs::read(dir_a.join(name)).map_err(io_fail)?;
-            let b = std::fs::read(dir_b.join(name)).map_err(io_fail)?;
-            if a != b {
-                return Err(fail(
-                    "scale.merge",
-                    format!("{name}: out-of-core CSV bytes differ from the in-memory export"),
-                ));
-            }
-        }
-        Ok(())
-    })();
+    let result = csv_identical("scale.merge", &study.report, &rebuilt, &base);
     std::fs::remove_dir_all(&base).ok();
-    result
+    result?;
+    let want = render::deterministic(&study);
+    study.report = rebuilt;
+    let have = render::deterministic(&study);
+    if have != want {
+        return Err(fail(
+            "scale.merge",
+            format!(
+                "the report spilled at a {budget}-key budget renders differently: {}",
+                first_diff_line(&have, &want)
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Oracle 8: longitudinal sweeps. Builds the scenario's longitudinal
@@ -733,7 +750,6 @@ fn crash_recovery_in(
     world: &World,
 ) -> Result<(), Failure> {
     let fail = |check: &str, d: String| Failure::new(check, d);
-    let io_fail = |e: std::io::Error| Failure::new("crash.io", e.to_string());
     let durable = crawler::DurableConfig::default();
 
     // Uninterrupted journaled reference run: the byte-identity target,
@@ -848,9 +864,16 @@ fn crash_recovery_in(
 
     // Downstream: the study built from the resumed store must render and
     // export byte-identically to one built from the reference store.
+    let workers = sc.workers.max(1);
+    let pool = httpnet::ThreadPool::new(workers, workers * 2);
     let study_of = |store: CrawlStore| {
-        let report =
-            analysis::report::build_report(&store, &world.baselines, sc.workers.max(1));
+        let report = analysis::report::build_report_pooled_opts(
+            &store,
+            &world.baselines,
+            &pool,
+            None,
+            &analysis::ReportOptions::default(),
+        );
         Study {
             report,
             svm: None,
@@ -872,24 +895,7 @@ fn crash_recovery_in(
             ),
         ));
     }
-    let (csv_a, csv_b) = (base.join("csv-resumed"), base.join("csv-reference"));
-    let files_a = analysis::export::export_csv(&from_resumed.report, &csv_a).map_err(io_fail)?;
-    let files_b =
-        analysis::export::export_csv(&from_reference.report, &csv_b).map_err(io_fail)?;
-    if files_a != files_b {
-        return Err(fail(
-            "crash.csv",
-            format!("export file sets differ: {files_a:?} vs {files_b:?}"),
-        ));
-    }
-    for name in &files_a {
-        let a = std::fs::read(csv_a.join(name)).map_err(io_fail)?;
-        let b = std::fs::read(csv_b.join(name)).map_err(io_fail)?;
-        if a != b {
-            return Err(fail("crash.csv", format!("{name} bytes differ")));
-        }
-    }
-    Ok(())
+    csv_identical("crash.csv", &from_resumed.report, &from_reference.report, base)
 }
 
 /// Persist `store` under `dir` and read the canonical files back, in
@@ -1246,20 +1252,7 @@ fn differential_files(faulted: &Study, control: &Study, base: &Path) -> Result<(
     let io_fail = |e: std::io::Error| Failure::new("differential.io", e.to_string());
     let read = |path: PathBuf| std::fs::read(&path).map_err(io_fail);
 
-    let (csv_a, csv_b) = (base.join("csv-faulted"), base.join("csv-control"));
-    let files_a = analysis::export::export_csv(&faulted.report, &csv_a).map_err(io_fail)?;
-    let files_b = analysis::export::export_csv(&control.report, &csv_b).map_err(io_fail)?;
-    if files_a != files_b {
-        return Err(Failure::new(
-            "differential.csv",
-            format!("export file sets differ: {files_a:?} vs {files_b:?}"),
-        ));
-    }
-    for name in &files_a {
-        if read(csv_a.join(name))? != read(csv_b.join(name))? {
-            return Err(Failure::new("differential.csv", format!("{name} bytes differ")));
-        }
-    }
+    csv_identical("differential.csv", &faulted.report, &control.report, base)?;
 
     let (mir_a, mir_b) = (base.join("mirror-faulted"), base.join("mirror-control"));
     crawler::persist::save(&faulted.store, &mir_a).map_err(io_fail)?;
@@ -1267,6 +1260,34 @@ fn differential_files(faulted: &Study, control: &Study, base: &Path) -> Result<(
     for name in crawler::persist::FILES {
         if read(mir_a.join(name))? != read(mir_b.join(name))? {
             return Err(Failure::new("differential.persist", format!("{name} bytes differ")));
+        }
+    }
+    Ok(())
+}
+
+/// Export both reports' CSV series under `base` and demand the same
+/// file set with the same bytes; any mismatch (or export I/O error)
+/// fails `check`.
+fn csv_identical(
+    check: &str,
+    a: &StudyReport,
+    b: &StudyReport,
+    base: &Path,
+) -> Result<(), Failure> {
+    let io_fail = |e: std::io::Error| Failure::new(check, format!("CSV export I/O: {e}"));
+    let (dir_a, dir_b) = (base.join("csv-a"), base.join("csv-b"));
+    let files_a = analysis::export::export_csv(a, &dir_a).map_err(io_fail)?;
+    let files_b = analysis::export::export_csv(b, &dir_b).map_err(io_fail)?;
+    if files_a != files_b {
+        return Err(Failure::new(
+            check,
+            format!("export file sets differ: {files_a:?} vs {files_b:?}"),
+        ));
+    }
+    for name in &files_a {
+        let read = |dir: &Path| std::fs::read(dir.join(name)).map_err(io_fail);
+        if read(&dir_a)? != read(&dir_b)? {
+            return Err(Failure::new(check, format!("{name} bytes differ")));
         }
     }
     Ok(())
@@ -1393,8 +1414,8 @@ mod tests {
         // stream batch and a spill budget small enough to force real
         // run files, on the cheapest world. Exercises all three legs —
         // streamed≡materialized digests, spilled≡resident tables, and
-        // the out-of-core≡in-memory study differential.
-        let sc = Scenario { stream_batch: 64, spill_budget: 300, ..minimal() };
+        // the spilled≡default-budget report differential.
+        let sc = Scenario { stream_batch: 64, spill_budget: 32, ..minimal() };
         if let Err(f) = check_scenario_family(&sc, Family::Scale) {
             panic!("scale scenario failed: {f}");
         }

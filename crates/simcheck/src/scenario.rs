@@ -93,9 +93,9 @@ pub struct Scenario {
     /// at. `0` disables the family (the shrinker's off switch, and the
     /// default for replays written before it existed).
     pub stream_batch: usize,
-    /// Resident-entry budget in bytes for the `scale.merge`
-    /// external-merge leg — kept tiny so every armed run genuinely
-    /// spills sorted runs to disk.
+    /// Distinct resident keys per spill buffer for the `scale.spill`
+    /// and `scale.merge` legs — kept below the scenario worlds' key
+    /// counts so every armed run genuinely spills sorted runs to disk.
     pub spill_budget: usize,
 }
 
@@ -165,14 +165,14 @@ impl Scenario {
         // seeds arm the scale family; armed seeds stream the world at a
         // batch size spanning tiny (every stage crosses many batch
         // boundaries) to large (single-batch stages), and spill with a
-        // byte budget small enough that the merge leg always writes
+        // key budget small enough that the merge leg always writes
         // sorted runs to disk.
         let stream_batch = if splitmix(&mut st).is_multiple_of(2) {
             [64, 256, 1024, 4096][(splitmix(&mut st) % 4) as usize]
         } else {
             0
         };
-        let spill_budget = 256 + (splitmix(&mut st) % 1793) as usize;
+        let spill_budget = 32 + (splitmix(&mut st) % 224) as usize;
 
         Self {
             seed,
@@ -460,7 +460,7 @@ mod tests {
                 sc.stream_batch
             );
             assert!(
-                (256..=2048).contains(&sc.spill_budget),
+                (32..=255).contains(&sc.spill_budget),
                 "seed {seed}: spill_budget {}",
                 sc.spill_budget
             );

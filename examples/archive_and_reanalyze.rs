@@ -10,7 +10,7 @@
 //! every headline number survives the round trip. No HTTP happens in the
 //! second half: analysis is fully decoupled from collection.
 
-use analysis::report::build_report;
+use analysis::report::{build_report_pooled_opts, ReportOptions};
 use crawler::{persist, Crawler, Endpoints};
 use std::sync::Arc;
 use synth::config::Scale;
@@ -53,9 +53,12 @@ fn main() {
 
     println!("\nreloading the archive and rebuilding the report (no network)…");
     let reloaded = persist::load(&dir).expect("archive loads");
-    let report = build_report(&reloaded, &baselines, 8);
-
-    let fresh = build_report(&store, &baselines, 8);
+    let pool = httpnet::ThreadPool::new(8, 16);
+    let build = |store| {
+        build_report_pooled_opts(store, &baselines, &pool, None, &ReportOptions::default())
+    };
+    let report = build(&reloaded);
+    let fresh = build(&store);
     let checks = [
         ("comments", report.overview.comments, fresh.overview.comments),
         ("urls", report.overview.urls, fresh.overview.urls),

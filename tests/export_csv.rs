@@ -3,7 +3,7 @@
 //! many times the report is rebuilt from the same crawl mirror.
 
 use dissenter_repro::analysis::export::export_csv;
-use dissenter_repro::analysis::report::build_report;
+use dissenter_repro::analysis::report::{build_report_pooled_opts, ReportOptions};
 use dissenter_repro::dissenter_core::{run_study, Study as DissenterStudy};
 use dissenter_repro::synth;
 use dissenter_repro::synth::config::Scale;
@@ -114,7 +114,14 @@ fn export_writes_every_figure_series() {
     // hash-map-iteration-order fixes in `analysis`.
     let (world, _truth) = synth::generate(&cfg.world);
     for (tag, workers) in [("rebuild-serial", 1usize), ("rebuild-sharded", 8)] {
-        let rebuilt = build_report(&study.store, &world.baselines, workers);
+        let pool = dissenter_repro::httpnet::ThreadPool::new(workers, workers * 2);
+        let rebuilt = build_report_pooled_opts(
+            &study.store,
+            &world.baselines,
+            &pool,
+            None,
+            &ReportOptions::default(),
+        );
         let redir = base.join(tag);
         let refiles = export_csv(&rebuilt, &redir).expect("re-export succeeds");
         assert_eq!(refiles, files, "{tag}: file sets match");

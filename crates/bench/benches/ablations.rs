@@ -16,7 +16,7 @@ use classify::adasyn::{adasyn, AdasynConfig};
 use classify::svm::{Featurizer, LinearSvm, SvmConfig};
 use classify::HateDictionary;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use httpnet::{Client, Handler, Request, Response, Server, ServerConfig};
+use httpnet::{Client, ConnPool, Handler, PoolConfig, Request, Response, Server, ServerConfig};
 use std::sync::Arc;
 use synth::labeled_corpus;
 use textkit::tokenize;
@@ -80,13 +80,14 @@ fn bench_keepalive_ablation(c: &mut Criterion) {
     let addr = server.addr();
     let mut g = c.benchmark_group("ablation_keepalive");
     g.bench_function("fresh_connection_per_request", |b| {
-        let client = Client::builder(addr).build();
+        // No idle connection is kept, so every request connects.
+        let pool = ConnPool::new(PoolConfig { max_idle_per_host: 0, ..Default::default() });
+        let client = Client::builder(addr).pool(pool).build();
         b.iter(|| black_box(client.get("/x").unwrap()));
     });
     g.bench_function("keep_alive_connection", |b| {
-        let mut client = Client::builder(addr).build();
-        client.keep_alive(true);
-        b.iter(|| black_box(client.get_keep_alive("/x").unwrap()));
+        let client = Client::builder(addr).build();
+        b.iter(|| black_box(client.get("/x").unwrap()));
     });
     g.finish();
 }

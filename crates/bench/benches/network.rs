@@ -1,12 +1,15 @@
 //! Benchmarks for the networking substrate and crawl phases over real
 //! loopback TCP: request/response round-trips, the §3.1 size probe, Gab
 //! API fetches (E1), comment-page spidering, and the resilience layer
-//! (fault decisions, circuit-breaker bookkeeping, retrying fetches
+//! (fault decisions, circuit-breaker bookkeeping, the crawl's retry loop
 //! through a faulty server).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use httpnet::{Client, FaultConfig, FaultInjector, RetryPolicy, ServerConfig};
+use crawler::resilience::PhaseRun;
+use httpnet::{Client, ConnPool, FaultConfig, FaultInjector, PoolConfig, ServerConfig};
+use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use synth::config::Scale;
 use synth::WorldConfig;
 use webfront::SimServices;
@@ -46,13 +49,14 @@ fn bench_http(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
 
     g.bench_function("roundtrip_fresh_connection", |b| {
-        let client = Client::builder(fx.services.gab.addr()).build();
+        // No idle connection is kept, so every request connects.
+        let pool = ConnPool::new(PoolConfig { max_idle_per_host: 0, ..Default::default() });
+        let client = Client::builder(fx.services.gab.addr()).pool(pool).build();
         b.iter(|| black_box(client.get("/api/v1/accounts/1").unwrap()));
     });
     g.bench_function("roundtrip_keep_alive", |b| {
-        let mut client = Client::builder(fx.services.gab.addr()).build();
-        client.keep_alive(true);
-        b.iter(|| black_box(client.get_keep_alive("/api/v1/accounts/1").unwrap()));
+        let client = Client::builder(fx.services.gab.addr()).build();
+        b.iter(|| black_box(client.get("/api/v1/accounts/1").unwrap()));
     });
     g.finish();
 }
@@ -63,30 +67,27 @@ fn bench_crawl_ops(c: &mut Criterion) {
 
     // E1: one Gab enumeration probe (hit + parse).
     g.bench_function("gab_account_fetch_parse", |b| {
-        let mut client = Client::builder(fx.services.gab.addr()).build();
-        client.keep_alive(true);
+        let client = Client::builder(fx.services.gab.addr()).build();
         let target = format!("/api/v1/accounts/{}", fx.gab_id);
         b.iter(|| {
-            let resp = client.get_keep_alive(&target).unwrap();
+            let resp = client.get(&target).unwrap();
             black_box(jsonlite::parse(&resp.text()).unwrap())
         });
     });
 
     // §3.1: the size probe (body length inspection, hit + miss).
     g.bench_function("dissenter_size_probe_hit", |b| {
-        let mut client = Client::builder(fx.services.dissenter.addr()).build();
-        client.keep_alive(true);
+        let client = Client::builder(fx.services.dissenter.addr()).build();
         let target = format!("/user/{}", fx.dissenter_user);
         b.iter(|| {
-            let resp = client.get_keep_alive(&target).unwrap();
+            let resp = client.get(&target).unwrap();
             black_box(resp.body.len() >= 10 * 1024)
         });
     });
     g.bench_function("dissenter_size_probe_miss", |b| {
-        let mut client = Client::builder(fx.services.dissenter.addr()).build();
-        client.keep_alive(true);
+        let client = Client::builder(fx.services.dissenter.addr()).build();
         b.iter(|| {
-            let resp = client.get_keep_alive("/user/nosuchuserzz").unwrap();
+            let resp = client.get("/user/nosuchuserzz").unwrap();
             black_box(resp.body.len() >= 10 * 1024)
         });
     });
@@ -122,18 +123,20 @@ fn bench_resilience(c: &mut Criterion) {
         });
     });
 
-    // A policy-driven fetch against a healthy endpoint: the overhead the
-    // retry machinery adds to the common (no-fault) case.
-    g.bench_function("get_with_policy_clean", |b| {
-        let mut client = Client::builder(fx.services.gab.addr()).build();
-        client.keep_alive(true);
-        let policy = RetryPolicy::immediate(3);
-        b.iter(|| black_box(client.get_with_policy("/api/v1/accounts/1", &policy).unwrap()));
+    // A logical fetch through the crawl's retry loop against a healthy
+    // endpoint: the overhead the retry machinery adds to the common
+    // (no-fault) case.
+    g.bench_function("phase_fetch_clean", |b| {
+        let addr = fx.services.gab.addr();
+        let (crawler, store) = (retrying_crawler(addr), crawler::CrawlStore::default());
+        let run = PhaseRun::new(&crawler, crawler::Phase::GabEnum);
+        let client = run.setup_client(Client::builder(addr)).build();
+        b.iter(|| black_box(run.fetch(&client, &store, "/api/v1/accounts/1").unwrap()));
     });
 
     // The same fetch through a 20%-faulty server (drops + 500s), retries
     // included — the storm-weathering cost per delivered response.
-    g.bench_function("get_with_policy_faulty", |b| {
+    g.bench_function("phase_fetch_faulty", |b| {
         let world = fx.world.clone();
         let cfg = ServerConfig {
             faults: FaultConfig {
@@ -145,13 +148,29 @@ fn bench_resilience(c: &mut Criterion) {
             ..crawler::default_server_config()
         };
         let services = SimServices::start(world, cfg).expect("services");
-        let mut client = Client::builder(services.gab.addr()).build();
-        client.keep_alive(true);
-        let policy = RetryPolicy::immediate(8);
-        b.iter(|| black_box(client.get_with_policy("/api/v1/accounts/1", &policy).unwrap()));
+        let addr = services.gab.addr();
+        let (crawler, store) = (retrying_crawler(addr), crawler::CrawlStore::default());
+        let run = PhaseRun::new(&crawler, crawler::Phase::GabEnum);
+        let client = run.setup_client(Client::builder(addr)).build();
+        b.iter(|| black_box(run.fetch(&client, &store, "/api/v1/accounts/1").unwrap()));
         std::mem::forget(services);
     });
     g.finish();
+}
+
+/// A crawler whose retry loop never sleeps and never runs out of
+/// budget: 8 retries per fetch, zero backoff.
+fn retrying_crawler(addr: SocketAddr) -> crawler::Crawler {
+    let mut crawler = crawler::Crawler::new(crawler::Endpoints {
+        dissenter: addr,
+        gab: addr,
+        reddit: addr,
+        youtube: addr,
+    });
+    crawler.config.retries = 8;
+    crawler.config.backoff = Duration::ZERO;
+    crawler.config.retry_budget = usize::MAX;
+    crawler
 }
 
 criterion_group!(benches, bench_http, bench_crawl_ops, bench_resilience);

@@ -108,12 +108,11 @@ pub fn run(addr: SocketAddr, targets: &[String], cfg: &LoadConfig, mode: Mode) -
             let (bust, latencies, failures) = (&bust, &latencies, &failures);
             let (warmed, measured) = (&warmed, &measured);
             scope.spawn(move || {
-                let mut builder =
-                    Client::builder(addr).keep_alive(true).pool(cfg.pool.clone());
+                let mut builder = Client::builder(addr).pool(cfg.pool.clone());
                 if mode == Mode::Cached {
                     builder = builder.revalidation_cache(reval);
                 }
-                let mut client = builder.build();
+                let client = builder.build();
                 for i in 0..cfg.warmup_per_thread {
                     let base = &targets[(t + i) % targets.len()];
                     let target = match mode {
@@ -122,7 +121,7 @@ pub fn run(addr: SocketAddr, targets: &[String], cfg: &LoadConfig, mode: Mode) -
                         // without consuming measured-window bust numbers.
                         Mode::Uncached => format!("{base}?warm={t}x{i}"),
                     };
-                    let _ = client.get_keep_alive(&target);
+                    let _ = client.get(&target);
                 }
                 warmed.wait();
                 measured.wait();
@@ -136,7 +135,7 @@ pub fn run(addr: SocketAddr, targets: &[String], cfg: &LoadConfig, mode: Mode) -
                         }
                     };
                     let sent = Instant::now();
-                    match client.get_keep_alive(&target) {
+                    match client.get(&target) {
                         Ok(resp) if resp.status.is_success() => {
                             local.push(sent.elapsed().as_micros() as u64);
                         }

@@ -17,7 +17,7 @@
 //!    shard-id order ([`merge_shards`]), regardless of completion order.
 //!
 //! The scatter-gather executor that runs shards on the shared
-//! [`httpnet::ThreadPool`] lives with the pool; this module also provides
+//! `httpnet::ThreadPool` lives with the pool; this module also provides
 //! [`map_sharded`], a scoped-thread runner for crates below the network
 //! layer. Both produce identical output by construction.
 

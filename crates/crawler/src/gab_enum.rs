@@ -30,7 +30,7 @@ pub fn enumerate(crawler: &Crawler, store: &mut CrawlStore) {
             store,
             crawler.endpoints.gab,
             ids,
-            |c| run.setup_client(c),
+            |b| run.setup_client(b),
             |id| format!("/api/v1/accounts/{id}"),
             |&id, resp| {
                 if !resp.status.is_success() {

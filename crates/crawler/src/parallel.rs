@@ -8,7 +8,7 @@
 
 use crate::resilience::PhaseRun;
 use crate::store::{CrawlStats, CrawlStore};
-use httpnet::{Client, Response};
+use httpnet::{Client, ClientBuilder, Response};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,8 +20,8 @@ use std::sync::Mutex;
 pub const PIPELINE_DEPTH: usize = 8;
 
 /// Run `work(client, item)` over `items` with `workers` threads, each
-/// owning a keep-alive [`Client`] to `addr`. Results are collected
-/// unordered.
+/// owning a keep-alive [`Client`] to `addr`, configured by `setup`.
+/// Results are collected unordered.
 ///
 /// A panic inside `work` is confined to its item: it is caught, recorded
 /// as a failure (and panic) on `stats`, and the worker keeps draining on
@@ -32,7 +32,7 @@ pub fn parallel_fetch<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
     stats: &CrawlStats,
-    setup: impl Fn(&mut Client) + Sync,
+    setup: impl Fn(ClientBuilder) -> ClientBuilder + Sync,
     work: impl Fn(&mut Client, &T) -> Option<R> + Sync,
 ) -> Vec<R> {
     drive(
@@ -58,7 +58,7 @@ pub fn parallel_get<T: Sync, R: Send>(
     store: &CrawlStore,
     addr: SocketAddr,
     items: &[T],
-    setup: impl Fn(&mut Client) + Sync,
+    setup: impl Fn(ClientBuilder) -> ClientBuilder + Sync,
     target: impl Fn(&T) -> String + Sync,
     parse: impl Fn(&T, Response) -> Option<R> + Sync,
 ) -> Vec<R> {
@@ -89,19 +89,15 @@ fn drive<T: Sync, A, R: Send>(
     items: &[T],
     workers: usize,
     stats: &CrawlStats,
-    setup: impl Fn(&mut Client) + Sync,
+    setup: impl Fn(ClientBuilder) -> ClientBuilder + Sync,
     depth: usize,
-    fetch: impl Fn(&mut Client, &[T], &mut usize) -> Vec<A> + Sync,
+    fetch: impl Fn(&Client, &[T], &mut usize) -> Vec<A> + Sync,
     work: impl Fn(&mut Client, &T, A) -> Option<R> + Sync,
 ) -> Vec<R> {
     let workers = workers.max(1).min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<R>> = Mutex::new(Vec::with_capacity(items.len()));
-    let fresh_client = || {
-        let mut client = Client::builder(addr).keep_alive(true).build();
-        setup(&mut client);
-        client
-    };
+    let fresh_client = || setup(Client::builder(addr)).build();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -115,7 +111,7 @@ fn drive<T: Sync, A, R: Send>(
                     }
                     let batch = &items[start..items.len().min(start + depth)];
                     let fetched =
-                        catch_unwind(AssertUnwindSafe(|| fetch(&mut client, batch, &mut depth)));
+                        catch_unwind(AssertUnwindSafe(|| fetch(&client, batch, &mut depth)));
                     let Ok(fetched) = fetched else {
                         batch.iter().for_each(|_| stats.add_panic());
                         client = fresh_client();
@@ -159,9 +155,9 @@ mod tests {
             &items,
             8,
             &stats,
-            |_| {},
+            |b| b,
             |client, &i| {
-                let r = client.get_keep_alive(&format!("/i/{i}")).ok()?;
+                let r = client.get(&format!("/i/{i}")).ok()?;
                 Some((i, r.text()))
             },
         );
@@ -178,8 +174,8 @@ mod tests {
         let stats = CrawlStats::default();
         let items = vec![1, 2, 3];
         let out: Vec<u32> =
-            parallel_fetch(server.addr(), &items, 2, &stats, |_| {}, |client, &i| {
-                let r = client.get_keep_alive("/x").ok()?;
+            parallel_fetch(server.addr(), &items, 2, &stats, |b| b, |client, &i| {
+                let r = client.get("/x").ok()?;
                 r.status.is_success().then_some(i)
             });
         assert!(out.is_empty());
@@ -198,10 +194,8 @@ mod tests {
             &items,
             1,
             &stats,
-            |c| {
-                c.set_cookie("session", "crawler:nsfw");
-            },
-            |client, _| client.get_keep_alive("/").ok().map(|r| r.text()),
+            |b| b.cookie("session", "crawler:nsfw"),
+            |client, _| client.get("/").ok().map(|r| r.text()),
         );
         assert_eq!(out, vec!["crawler:nsfw".to_owned()]);
     }
@@ -235,7 +229,7 @@ mod tests {
             &store,
             addr,
             &items,
-            |c| run.setup_client(c),
+            |b| run.setup_client(b),
             |i| format!("/i/{i}"),
             |_, resp| Some(resp.text()),
         );
@@ -296,9 +290,9 @@ mod tests {
             &items,
             4,
             &stats,
-            |_| {},
+            |b| b,
             |client, &i| {
-                let r = client.get_keep_alive(&format!("/i/{i}")).ok()?;
+                let r = client.get(&format!("/i/{i}")).ok()?;
                 assert!(i % 10 != 7, "poisoned page {i}");
                 Some((i, r.text()))
             },

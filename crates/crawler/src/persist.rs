@@ -1,6 +1,6 @@
 //! Crawl-mirror persistence.
 //!
-//! The paper "effectively mirror[s] the Dissenter database"; a mirror you
+//! The paper "effectively mirror\[s\] the Dissenter database"; a mirror you
 //! cannot save is not much of a mirror. This module serializes a
 //! [`CrawlStore`] to a directory of JSON-Lines files (one entity type per
 //! file, one JSON object per line — the archive format Pushshift itself

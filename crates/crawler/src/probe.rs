@@ -37,7 +37,7 @@ pub fn probe_dissenter_accounts(crawler: &Crawler, store: &mut CrawlStore) {
         store,
         crawler.endpoints.dissenter,
         &usernames,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |name| format!("/user/{name}"),
         |name, resp| {
             // Classification is purely by body size — deliberately NOT by

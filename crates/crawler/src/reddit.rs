@@ -20,7 +20,7 @@ pub fn crawl_reddit(crawler: &Crawler, store: &mut CrawlStore) {
         &names,
         crawler.config.workers,
         &store.stats,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |client, name| {
             let about = run.fetch(client, store, &format!("/user/{name}/about"))?;
             if !about.status.is_success() {

@@ -25,8 +25,8 @@
 use crate::store::{CrawlStore, DeadLetter};
 use crate::Crawler;
 use httpnet::{
-    classify_status, parse_retry_after_detailed, Client, ClientError, Response, RetryPolicy,
-    StatusClass,
+    classify_status, parse_retry_after_detailed, Client, ClientBuilder, ClientError, Response,
+    RetryPolicy, StatusClass,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,11 +313,13 @@ impl<'a> PhaseRun<'a> {
     /// timeout, request instrumentation under this phase's service name
     /// (`http.<service>.*` in the crawler's registry), and — when
     /// incremental re-crawl is on — the crawl-wide revalidation cache.
-    pub fn setup_client(&self, client: &mut Client) {
-        client.timeout(self.crawler.config.timeout);
-        client.instrument(&self.crawler.metrics, self.phase.service().name());
-        if let Some(reval) = self.crawler.revalidation_cache() {
-            client.set_revalidation_cache(reval.clone());
+    pub fn setup_client(&self, builder: ClientBuilder) -> ClientBuilder {
+        let builder = builder
+            .timeout(self.crawler.config.timeout)
+            .metrics(&self.crawler.metrics, self.phase.service().name());
+        match self.crawler.revalidation_cache() {
+            Some(reval) => builder.revalidation_cache(reval.clone()),
+            None => builder,
         }
     }
 
@@ -352,7 +354,7 @@ impl<'a> PhaseRun<'a> {
     ///
     /// Non-2xx statuses other than 429/5xx are *delivered*, not
     /// retried — a 404 is a data point to this crawler (§3.1).
-    pub fn fetch(&self, client: &mut Client, store: &CrawlStore, target: &str) -> Option<Response> {
+    pub fn fetch(&self, client: &Client, store: &CrawlStore, target: &str) -> Option<Response> {
         self.fetch_one(client, store, target, &mut 1)
     }
 
@@ -367,7 +369,7 @@ impl<'a> PhaseRun<'a> {
     /// flight from then on.
     pub fn fetch_batch(
         &self,
-        client: &mut Client,
+        client: &Client,
         store: &CrawlStore,
         targets: &[String],
         depth: &mut usize,
@@ -397,7 +399,7 @@ impl<'a> PhaseRun<'a> {
     /// [`PhaseRun::fetch`], lowering `*depth` to 1 on trouble.
     fn fetch_one(
         &self,
-        client: &mut Client,
+        client: &Client,
         store: &CrawlStore,
         target: &str,
         depth: &mut usize,
@@ -441,7 +443,7 @@ impl<'a> PhaseRun<'a> {
     /// read; without it the first attempt is sent here.
     fn settle(
         &self,
-        client: &mut Client,
+        client: &Client,
         store: &CrawlStore,
         target: &str,
         mut first: Option<(Result<Response, ClientError>, u64)>,
@@ -463,7 +465,7 @@ impl<'a> PhaseRun<'a> {
             store.stats.add_requests(1);
             let (answer, answered) = match first.take() {
                 Some(first) => first,
-                None => (client.get_keep_alive(target), self.now()),
+                None => (client.get(target), self.now()),
             };
             let (cause, wait) = match answer {
                 Ok(resp) => match classify_status(resp.status) {

@@ -32,7 +32,7 @@ pub fn shadow_crawl(crawler: &Crawler, store: &mut CrawlStore) {
         &labeled,
         crawler.config.workers,
         &store.stats,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |client, &(id, label)| {
             client.clear_cookies();
             // A 404 here is a *delivered* answer (the comment is hidden),

@@ -40,7 +40,7 @@ pub fn crawl_social(crawler: &Crawler, store: &mut CrawlStore) {
         &targets,
         crawler.config.workers,
         &store.stats,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |client, (username, gab_id)| {
             let mut edges: Vec<(String, String)> = Vec::new();
             for (endpoint, incoming) in [("followers", true), ("following", false)] {

@@ -62,7 +62,7 @@ fn crawl_users(
         store,
         crawler.endpoints.dissenter,
         names,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |name| format!("/user/{name}"),
         |name, resp| {
             if !resp.status.is_success() {
@@ -113,10 +113,11 @@ fn crawl_pass(
         store,
         crawler.endpoints.dissenter,
         url_ids,
-        |client| {
-            run.setup_client(client);
-            if let Some(s) = session {
-                client.set_cookie("session", s);
+        |b| {
+            let b = run.setup_client(b);
+            match session {
+                Some(s) => b.cookie("session", s),
+                None => b,
             }
         },
         |id| format!("/url/{id}"),
@@ -271,10 +272,11 @@ pub fn discover_metadata_and_ghosts(
         store,
         crawler.endpoints.dissenter,
         &author_samples,
-        |client| {
-            run.setup_client(client);
-            if let Some(s) = session {
-                client.set_cookie("session", s);
+        |b| {
+            let b = run.setup_client(b);
+            match session {
+                Some(s) => b.cookie("session", s),
+                None => b,
             }
         },
         |(_, cid)| format!("/comment/{cid}"),

@@ -22,7 +22,7 @@ pub fn crawl_youtube(crawler: &Crawler, store: &mut CrawlStore) {
         store,
         crawler.endpoints.youtube,
         &targets,
-        |c| run.setup_client(c),
+        |b| run.setup_client(b),
         |url| format!("/render?url={}", httpnet::http::percent_encode(url)),
         |url, resp| {
             if !resp.status.is_success() {

@@ -27,9 +27,10 @@
 //!   crawler's retry logic works;
 //! * a seeded exponential-backoff [`retry`] policy with status-aware
 //!   classification, `Retry-After` honoring, and a total-elapsed cap;
-//! * a blocking [`client`] with timeouts, redirects disabled (the crawler
-//!   wants raw behavior), and response-size accounting — constructed via
-//!   [`Client::builder`];
+//! * a blocking [`client`] with one request path — every GET, single or
+//!   pipelined, goes through a keep-alive [`cpool::ConnPool`] — with
+//!   timeouts and redirects disabled (the crawler wants raw behavior),
+//!   configured only through [`Client::builder`];
 //! * conditional requests ([`http::format_etag`], [`http::if_none_match`],
 //!   `304 Not Modified`) backed by a server-side [`cache::ResponseCache`]
 //!   and a client-side [`cache::RevalidationCache`] so longitudinal
@@ -56,8 +57,8 @@ pub use http::{format_etag, if_none_match, Headers, Request, Response, Status};
 pub use log::{AccessEntry, AccessLog};
 pub use pool::ThreadPool;
 pub use retry::{
-    classify_status, parse_retry_after, parse_retry_after_detailed, RetryAfter, RetryPolicy,
-    StatusClass, MAX_RETRY_AFTER,
+    classify_status, parse_retry_after_detailed, RetryAfter, RetryPolicy, StatusClass,
+    MAX_RETRY_AFTER,
 };
 pub use router::{Params, Router};
 pub use server::{Handler, Server, ServerConfig};

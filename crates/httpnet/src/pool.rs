@@ -1,6 +1,7 @@
-//! A bounded worker thread pool for connection handling, generalized
-//! with an ordered scatter-gather work queue ([`ThreadPool::scatter`])
-//! so CPU-bound pipeline stages can reuse the same pool.
+//! A bounded worker thread pool for CPU-bound analysis jobs (scoring,
+//! report tables, the SVM experiment), with an ordered scatter-gather
+//! work queue ([`ThreadPool::scatter`]). Connections are served by the
+//! server's epoll reactors, not by this pool.
 
 use crossbeam::channel::{bounded, Sender};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -77,7 +77,7 @@ pub fn parse_retry_after_detailed(resp: &Response) -> Option<RetryAfter> {
 }
 
 /// [`parse_retry_after_detailed`] without the clamp flag.
-pub fn parse_retry_after(resp: &Response) -> Option<Duration> {
+fn parse_retry_after(resp: &Response) -> Option<Duration> {
     parse_retry_after_detailed(resp).map(|r| r.delay)
 }
 
@@ -160,18 +160,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with no waiting at all — useful in tests that only care
-    /// about attempt counts.
-    pub fn immediate(max_retries: usize) -> Self {
-        Self {
-            max_retries,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter: 0.0,
-            ..Self::default()
-        }
-    }
-
     /// Start the jitter stream for one logical fetch.
     pub fn jitter_rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed)

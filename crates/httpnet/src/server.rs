@@ -1,9 +1,9 @@
 //! The event-driven HTTP server.
 //!
 //! An accept loop on a dedicated thread feeds accepted connections
-//! round-robin to `workers` epoll reactors (see [`crate::reactor`]); each
-//! reactor multiplexes its connections on a readiness loop with
-//! per-connection state machines, so a stalled or fault-delayed peer
+//! round-robin to `workers` epoll reactors (the private `reactor`
+//! module); each reactor multiplexes its connections on a readiness loop
+//! with per-connection state machines, so a stalled or fault-delayed peer
 //! never pins a thread. Transient `accept()` failures (EMFILE during a
 //! connection flood) back off exponentially instead of spinning hot, and
 //! are counted under `accept.errors` when a metrics registry is set.
@@ -298,13 +298,13 @@ mod tests {
     #[test]
     fn keep_alive_reuses_connection() {
         let server = echo_server(ServerConfig::default());
-        let mut client = Client::builder(server.addr()).build();
-        client.keep_alive(true);
+        let client = Client::builder(server.addr()).build();
         for i in 0..5 {
             let resp = client.get(&format!("/r{i}")).unwrap();
             assert_eq!(resp.text(), format!("echo:/r{i}"));
         }
         assert_eq!(server.requests_served(), 5);
+        assert_eq!(client.pool().stats().open, 1, "all five rode one connection");
     }
 
     #[test]
@@ -358,8 +358,7 @@ mod tests {
         let mut handles = Vec::new();
         for t in 0..16 {
             handles.push(std::thread::spawn(move || {
-                let mut client = Client::builder(addr).build();
-                client.keep_alive(true);
+                let client = Client::builder(addr).build();
                 for i in 0..10 {
                     let resp = client.get(&format!("/w{t}/{i}")).unwrap();
                     assert_eq!(resp.text(), format!("echo:/w{t}/{i}"));
@@ -542,6 +541,7 @@ mod tests {
 
     #[test]
     fn handler_panic_drops_connection_and_counts() {
+        use std::io::Write;
         let registry = obs::Registry::new();
         let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
             if req.path() == "/boom" {
@@ -554,9 +554,17 @@ mod tests {
             ServerConfig { metrics: Some(registry.clone()), ..Default::default() },
         )
         .unwrap();
-        let client = Client::builder(server.addr()).build();
-        assert!(client.get("/boom").is_err(), "panicked handler must close the connection");
+        // A raw socket, not the client: the client's fresh-connection
+        // resend would run the panicking handler a second time.
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        raw.write_all(b"GET /boom HTTP/1.1\r\nHost: sim.local\r\n\r\n").unwrap();
+        assert!(
+            crate::http::read_response(&mut std::io::BufReader::new(raw)).is_err(),
+            "panicked handler must close the connection"
+        );
         // The server survives and keeps serving.
+        let client = Client::builder(server.addr()).build();
         assert_eq!(client.get("/fine").unwrap().text(), "ok");
         assert_eq!(registry.snapshot().counter("pool.job_panics"), Some(1));
     }
@@ -883,8 +891,7 @@ mod tests {
             ..Default::default()
         };
         let server = echo_server(cfg);
-        let mut client = Client::builder(server.addr()).build();
-        client.timeout(Duration::from_millis(50));
+        let client = Client::builder(server.addr()).timeout(Duration::from_millis(50)).build();
         match client.get("/x") {
             Err(crate::client::ClientError::Wire(WireError::Io(e))) => {
                 assert!(

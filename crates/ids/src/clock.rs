@@ -1,9 +1,10 @@
-//! Simulated wall clock for deterministic world generation.
+//! Timestamps and calendar helpers for deterministic world generation.
 //!
-//! All data generation runs against a simulated clock spanning the paper's
+//! All data generation runs on simulated time spanning the paper's
 //! 14-month measurement window: Dissenter's launch in February 2019 through
 //! the end of April 2020. Real wall-clock time never feeds the generators,
-//! so a `(seed, scale)` pair always produces an identical world.
+//! so a `(seed, scale)` pair always produces an identical world. The
+//! advanceable clock the fronts and crawler share is `platform::SimClock`.
 
 /// Seconds since the Unix epoch. Dissenter encodes this (truncated to 32
 /// bits, big-endian) into the first four bytes of each object ID.
@@ -19,62 +20,6 @@ pub const STUDY_END: Timestamp = 1_588_291_199;
 pub const GAB_LAUNCH: Timestamp = 1_471_219_200;
 
 const SECS_PER_DAY: u64 = 86_400;
-
-/// A monotone simulated clock.
-///
-/// The clock only moves forward; [`SimClock::advance`] saturates at
-/// [`STUDY_END`] unless explicitly constructed with a different horizon.
-#[derive(Debug, Clone)]
-pub struct SimClock {
-    now: Timestamp,
-    horizon: Timestamp,
-}
-
-impl SimClock {
-    /// A clock positioned at Dissenter's launch, bounded by the study window.
-    pub fn at_launch() -> Self {
-        Self { now: DISSENTER_LAUNCH, horizon: STUDY_END }
-    }
-
-    /// A clock with an arbitrary start and horizon. `start` must not exceed
-    /// `horizon`.
-    pub fn new(start: Timestamp, horizon: Timestamp) -> Self {
-        assert!(start <= horizon, "clock start after horizon");
-        Self { now: start, horizon }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// The clock's horizon (advancing saturates here).
-    pub fn horizon(&self) -> Timestamp {
-        self.horizon
-    }
-
-    /// Advance by `secs`, saturating at the horizon. Returns the new time.
-    pub fn advance(&mut self, secs: u64) -> Timestamp {
-        self.now = (self.now + secs).min(self.horizon);
-        self.now
-    }
-
-    /// Jump to an absolute time. Panics if this would move the clock
-    /// backwards or past the horizon.
-    pub fn seek(&mut self, to: Timestamp) {
-        assert!(to >= self.now, "SimClock cannot move backwards");
-        assert!(to <= self.horizon, "SimClock cannot move past its horizon");
-        self.now = to;
-    }
-
-    /// Fraction of the way through `[start, horizon]` in `[0, 1]`.
-    pub fn progress(&self, start: Timestamp) -> f64 {
-        if self.horizon <= start {
-            return 1.0;
-        }
-        (self.now.saturating_sub(start)) as f64 / (self.horizon - start) as f64
-    }
-}
 
 /// Render a timestamp as `YYYY-MM-DD` (proleptic Gregorian, UTC).
 ///
@@ -157,31 +102,6 @@ mod tests {
             let ts = from_ymd(y, m, d);
             assert_eq!(format_date(ts), format!("{y:04}-{m:02}-{d:02}"));
         }
-    }
-
-    #[test]
-    fn clock_advances_and_saturates() {
-        let mut c = SimClock::new(0, 100);
-        assert_eq!(c.advance(60), 60);
-        assert_eq!(c.advance(60), 100);
-        assert_eq!(c.now(), 100);
-    }
-
-    #[test]
-    fn clock_progress_bounds() {
-        let mut c = SimClock::new(0, 200);
-        assert_eq!(c.progress(0), 0.0);
-        c.advance(100);
-        assert!((c.progress(0) - 0.5).abs() < 1e-12);
-        c.advance(1000);
-        assert_eq!(c.progress(0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_seek_backwards_panics() {
-        let mut c = SimClock::new(50, 100);
-        c.seek(10);
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! beginning `5c780b19`). Gab user IDs, in contrast, are a monotone integer
 //! counter starting at 1, with occasional re-use of unallocated lower values.
 //!
-//! This crate implements both identifier families plus the simulated clock
-//! that drives deterministic world generation.
+//! This crate implements both identifier families plus the timestamps and
+//! calendar helpers that deterministic world generation runs on.
 
 pub mod clock;
 pub mod gabid;
 pub mod hex;
 pub mod oid;
 
-pub use clock::{SimClock, Timestamp, DISSENTER_LAUNCH, STUDY_END};
+pub use clock::{Timestamp, DISSENTER_LAUNCH, STUDY_END};
 pub use gabid::{GabId, GabIdAllocator};
 pub use oid::{EntityKind, ObjectId, ObjectIdGen, ParseObjectIdError};

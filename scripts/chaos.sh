@@ -9,7 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== resilience unit tests (fault injector, retry policy, breaker) =="
-cargo test --release -p httpnet fault:: retry:: "$@"
+# `cargo test` takes one test-name filter per run.
+cargo test --release -p httpnet fault:: "$@"
+cargo test --release -p httpnet retry:: "$@"
 cargo test --release -p crawler --lib resilience:: "$@"
 
 echo "== cross-crate chaos suite (full crawl x fault matrix) =="

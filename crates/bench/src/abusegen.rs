@@ -41,7 +41,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// One adversarial client population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,10 +253,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn now_secs() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
 fn connect(addr: SocketAddr) -> std::io::Result<BufReader<TcpStream>> {
@@ -744,7 +740,7 @@ pub fn polite_collect(addr: SocketAddr, cuids: &[String], deadline: Instant) -> 
                     .and_then(|s| s.parse::<u64>().ok());
                 record(&mut out.counts, &resp, None);
                 if resp.status == Status::TOO_MANY {
-                    let wait = reset.unwrap_or(0).saturating_sub(now_secs());
+                    let wait = reset.unwrap_or(0).saturating_sub(platform::Clock::wall().now());
                     let wake = Instant::now()
                         + Duration::from_secs(wait)
                         + Duration::from_millis(100);
@@ -898,6 +894,7 @@ mod tests {
             world.clone(),
             webfront::cache::FrontCache::new(stamp),
             platform::RateLimiter::new(2, 1).with_penalty(3),
+            platform::Clock::wall(),
         ));
         let server = httpnet::Server::start(
             front.clone() as Arc<dyn Handler>,
@@ -927,6 +924,7 @@ mod tests {
             world.clone(),
             webfront::cache::FrontCache::new(stamp),
             platform::RateLimiter::new(2, 1).with_penalty(3),
+            platform::Clock::wall(),
         ));
         let server = httpnet::Server::start(
             front as Arc<dyn Handler>,

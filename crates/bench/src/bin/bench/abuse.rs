@@ -106,7 +106,13 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     );
     let limiter =
         platform::RateLimiter::new(URL_LIMIT, URL_WINDOW_SECS).with_penalty(URL_PENALTY_SECS);
-    let dissenter = Arc::new(DissenterFront::with_parts(world.clone(), front_cache, limiter));
+    // The wall clock: the polite-vs-greedy race measures real waits.
+    let dissenter = Arc::new(DissenterFront::with_parts(
+        world.clone(),
+        front_cache,
+        limiter,
+        platform::Clock::wall(),
+    ));
     let mut fronts = webfront::SimFronts::new(world.clone());
     fronts.dissenter = dissenter.clone();
     let hardened = ServerConfig {

@@ -3,20 +3,28 @@
 //! completion and time the recovery + resume path.
 //!
 //! Gates: journaling keeps the crawl within 25% of the WAL-off
-//! wall-clock (plain crawl + one final `persist::save`); the journaled
-//! store is byte-identical to the plain one and the resumed store to the
-//! uninterrupted journaled one; resume replayed every completed phase
-//! from disk without a single re-fetch; and the interrupted phase's
-//! partial progress was revalidated via `304 Not Modified` rather than
-//! re-downloaded.
+//! wall-clock (plain crawl + one final `persist::save`); both regimes
+//! did the same work (equal request counts, no throttle waits); the
+//! journaled store is byte-identical to the plain one and the resumed
+//! store to the uninterrupted journaled one; resume replayed every
+//! completed phase from disk without a single re-fetch; and the
+//! interrupted phase's partial progress was revalidated via
+//! `304 Not Modified` rather than re-downloaded.
+//!
+//! Every crawl runs against one set of services on simulated time with
+//! the production rate limits. Each timed pass, and the killed run,
+//! starts one Dissenter window after the previous crawl, so no pass
+//! inherits a spent window; the resume does not, and waits out the
+//! window its killed predecessor spent by advancing the clock.
 
 use bench::report::{Args, BenchReport, Op};
 use crawler::journal::is_kill_error;
 use crawler::{Crawler, DurableConfig, Endpoints, Failpoint, Phase};
 use jsonlite::Value;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use synth::config::Scale;
 use synth::WorldConfig;
 
@@ -40,14 +48,10 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     let cfg = WorldConfig { seed, scale: Scale::Custom(scale), ..WorldConfig::small() };
     let (world, _) = synth::generate(&cfg);
     let world = Arc::new(world);
-    // Serve Dissenter's per-URL fixed window with a short period so the
-    // resume pass — which lands inside a window the killed run already
-    // spent — sleeps milliseconds instead of the production 60 s.
-    let mut fronts = webfront::SimFronts::new(world.clone());
-    fronts.dissenter =
-        Arc::new(webfront::dissenter::DissenterFront::with_rate_limit(world.clone(), 10, 2));
-    let services = webfront::SimServices::start_with(fronts, crawler::default_server_config())
+    let services = webfront::SimServices::simulated(world.clone(), crawler::default_server_config())
         .expect("failed to start simulated services");
+    let window = platform::RateLimiter::dissenter_per_url().window_secs();
+    let next_window = || services.clock.wait(Duration::from_secs(window));
     let crawler_for = || {
         let mut crawler = Crawler::new(Endpoints {
             dissenter: services.dissenter.addr(),
@@ -55,6 +59,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
             reddit: services.reddit.addr(),
             youtube: services.youtube.addr(),
         });
+        crawler.clock = services.clock.clone();
         crawler.config.enum_gap_tolerance =
             crawler.config.enum_gap_tolerance.min((world.gab.max_id() / 4).max(512));
         crawler.enable_revalidation(1 << 16);
@@ -75,12 +80,22 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     fn best_of<F: FnMut(usize) -> u64>(mut run: F) -> u64 {
         (0..2).map(&mut run).min().unwrap()
     }
+    // (requests, throttle waits) of every timed pass, both regimes.
+    let mut work: Vec<(u64, u64)> = Vec::new();
+    let mut record = |store: &crawler::CrawlStore| {
+        let stats = &store.stats;
+        work.push((
+            stats.requests.load(Ordering::Relaxed),
+            stats.rate_limit_sleeps.load(Ordering::Relaxed),
+        ));
+    };
 
     // Regime A: plain in-memory crawl plus the single final
     // `persist::save` any real run pays — the honest alternative to
     // journaling is durable-once-at-the-end, not never-durable.
     let mut store_off = None;
     let wal_off_ms = best_of(|_| {
+        next_window();
         let started = Instant::now();
         let store = crawler_for().full_crawl();
         crawler::persist::save(&store, &base.join("persist-off")).expect("persist store");
@@ -88,6 +103,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
         // Drop the output before its writeback can stall the next timed
         // run (an unlinked dirty page never reaches the disk).
         std::fs::remove_dir_all(base.join("persist-off")).ok();
+        record(&store);
         store_off = Some(store);
         elapsed
     });
@@ -96,6 +112,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     // Regime B: same crawl journaled through the segmented WAL.
     let mut on_result = None;
     let wal_on_ms = best_of(|i| {
+        next_window();
         let on = crawler_for();
         let started = Instant::now();
         let store = on
@@ -103,6 +120,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
             .expect("journaled crawl");
         let elapsed = started.elapsed().as_millis() as u64;
         std::fs::remove_dir_all(base.join(format!("wal-{i}"))).ok();
+        record(&store);
         on_result = Some((store, on));
         elapsed
     });
@@ -138,6 +156,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
         failpoint: Failpoint { kill_at_op: Some(kill_at), torn_tail: true },
         ..DurableConfig::default()
     };
+    next_window();
     let killed = crawler_for().full_crawl_durable(&killed_dir, &kill_cfg);
     match &killed {
         Ok(_) => eprintln!("recovery: the failpoint did not kill the crawl"),
@@ -187,6 +206,11 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
 
     report.check("kill.failpoint", matches!(&killed, Err(e) if is_kill_error(e)));
     report.gate("overhead_ratio", overhead_ratio, Op::Le, 1.25);
+    let equal_work = work.iter().all(|&(requests, sleeps)| requests == work[0].0 && sleeps == 0);
+    if !equal_work {
+        eprintln!("recovery: timed passes did unequal work (requests, throttle waits): {work:?}");
+    }
+    report.check("regimes.equal_work", equal_work);
     report.check("journal_invisible", bytes_on == bytes_off);
     report.check("resume.store_identical", bytes_resumed == bytes_on);
     report.gate("resume.refetched_completed_phase_pages", refetched_completed as f64, Op::Eq, 0.0);

@@ -26,6 +26,14 @@
 //! [`Crawler::full_crawl`] runs all phases and returns a [`store::CrawlStore`]
 //! — the reconstructed mirror every §4 analysis consumes. The crawler never
 //! reads the in-process `World`; its only input is HTTP.
+//!
+//! **Time.** Protocol time — when a 429 was answered, how far its
+//! `X-RateLimit-Reset` or `Retry-After` lies, and the wait until then —
+//! is read and waited out on [`Crawler::clock`], the services' clock. On
+//! a simulated clock each throttle wait advances it instead of sleeping.
+//! Transport timing (client timeouts, retry backoff after wire errors and
+//! 5xx, breaker cooldowns, the per-fetch `max_elapsed`) stays on
+//! `std::time::Instant`.
 
 pub mod gab_enum;
 pub mod journal;
@@ -189,11 +197,17 @@ pub struct Crawler {
     /// Replace with a clone of an outer registry to aggregate a crawl
     /// into a larger run (the registry is a shared handle).
     pub metrics: obs::Registry,
+    /// The clock the services' rate-limit resets refer to, and on which
+    /// every throttle wait is waited out: a simulated clock advances
+    /// past the reset instead of sleeping. Defaults to the wall; set it
+    /// to the services' clock (`webfront::SimServices::clock`) so the
+    /// crawler reads the instant the limiters do — wall-clock
+    /// scheduling then cannot decide whether a resumed crawl lands
+    /// inside a spent rate window.
+    pub clock: platform::Clock,
     /// Shared ETag revalidation cache, attached to every worker client
     /// when set (see [`Crawler::enable_revalidation`]).
     reval: Option<httpnet::RevalidationCache>,
-    /// Simulated serving clock (see [`Crawler::set_clock`]).
-    clock: Option<platform::SimClock>,
     /// Prior-sweep knowledge (see [`Crawler::set_sweep_hint`]).
     hint: Option<SweepHint>,
 }
@@ -206,8 +220,8 @@ impl Crawler {
             config: CrawlConfig::default(),
             breakers: resilience::Breakers::default(),
             metrics: obs::Registry::new(),
+            clock: platform::Clock::wall(),
             reval: None,
-            clock: None,
             hint: None,
         }
     }
@@ -255,23 +269,6 @@ impl Crawler {
     /// one sweep's ephemeral ports keep working on the next sweep's).
     pub fn set_revalidation(&mut self, cache: httpnet::RevalidationCache) {
         self.reval = Some(cache);
-    }
-
-    /// Key every throttle wait off a shared [`platform::SimClock`]
-    /// instead of the wall: when a server's `X-RateLimit-Reset` (in
-    /// simulated seconds) demands a wait, the crawler *advances the
-    /// clock* past the reset rather than sleeping. Paired with fronts
-    /// built by `webfront::SimFronts::for_sweep` (whose rate limiters
-    /// read the same clock), this keeps penalty lockouts and resumed
-    /// sweeps byte-replayable — wall-clock scheduling can no longer
-    /// decide whether a resumed crawl lands inside a spent rate window.
-    pub fn set_clock(&mut self, clock: platform::SimClock) {
-        self.clock = Some(clock);
-    }
-
-    /// The simulated clock, if one is attached.
-    pub fn clock(&self) -> Option<&platform::SimClock> {
-        self.clock.as_ref()
     }
 
     /// Run every phase: enumerate, probe, spider, shadow-diff, YouTube,

@@ -30,7 +30,7 @@ use httpnet::{
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// The crawl phases, in pipeline order. Indexes [`crate::store::CrawlStats::phases`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -382,7 +382,7 @@ impl<'a> PhaseRun<'a> {
         let sent: Vec<&str> =
             targets.iter().zip(&admitted).filter(|(_, ok)| **ok).map(|(t, _)| t.as_str()).collect();
         let mut answers = client.get_pipelined(&sent).into_iter();
-        let answered = self.now();
+        let answered = self.crawler.clock.now();
         targets
             .iter()
             .zip(admitted)
@@ -432,12 +432,6 @@ impl<'a> PhaseRun<'a> {
         false
     }
 
-    /// Seconds on the clock rate-limit resets refer to: the simulated
-    /// clock when one is attached, else the wall.
-    fn now(&self) -> u64 {
-        self.crawler.clock().map_or_else(wall_secs, |clock| clock.now())
-    }
-
     /// The retry loop of an admitted logical fetch. `first` is the answer
     /// to a first attempt already sent (pipelined), with the time it was
     /// read; without it the first attempt is sent here.
@@ -461,11 +455,12 @@ impl<'a> PhaseRun<'a> {
         let started = Instant::now();
         let mut failures = 0usize; // wire errors + retryable statuses
         let mut throttles = 0usize; // 429s
+        let clock = &self.crawler.clock;
         loop {
             store.stats.add_requests(1);
             let (answer, answered) = match first.take() {
                 Some(first) => first,
-                None => (client.get(target), self.now()),
+                None => (client.get(target), clock.now()),
             };
             let (cause, wait) = match answer {
                 Ok(resp) => match classify_status(resp.status) {
@@ -491,20 +486,12 @@ impl<'a> PhaseRun<'a> {
                             throttles - 1,
                             &mut rng,
                             answered,
-                            self.now(),
+                            clock.now(),
                         );
                         if clamped {
                             self.metrics.retry_after_clamped.inc();
                         }
-                        match self.crawler.clock() {
-                            // Simulated time: advance past the advertised
-                            // reset instead of sleeping. The wait is in
-                            // simulated seconds (the front's limiter reads
-                            // the same clock), so sleeping it out on the
-                            // wall would be both slow and meaningless.
-                            Some(clock) => clock.advance(wait.as_secs().max(1)),
-                            None => std::thread::sleep(wait),
-                        }
+                        clock.wait(wait);
                         continue;
                     }
                     StatusClass::Retryable => {
@@ -583,12 +570,6 @@ impl<'a> PhaseRun<'a> {
 /// park a worker indefinitely.
 const MAX_RESET_WAIT: Duration = Duration::from_secs(120);
 
-/// Wall-clock epoch seconds (the `now` used when no simulated clock is
-/// attached to the crawler).
-fn wall_secs() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
-}
-
 /// How long to wait out a 429, plus whether the peer's advice was
 /// absurd enough to be clamped (surfaced as the phase's
 /// `retry_after_clamped` counter). Preference order: the `Retry-After`
@@ -597,9 +578,8 @@ fn wall_secs() -> u64 {
 /// caller's clock, the Gab/Dissenter convention — waited out **in
 /// full**, exactly like the paper's sleep-until-reset loop), then the
 /// computed backoff. `answered` (when the 429 was read) and `now` are
-/// instants *on whichever clock the server's reset refers to*: wall
-/// seconds normally, the shared [`platform::SimClock`] under a
-/// longitudinal sweep. The reset wait runs from `answered`, so a 429
+/// readings of the crawler's [`platform::Clock`], the one the server's
+/// reset refers to. The reset wait runs from `answered`, so a 429
 /// that sat in a pipelined batch while an earlier item waited out its
 /// own reset has already served that part of its wait.
 ///

@@ -59,13 +59,14 @@ fn generous() -> Knobs {
 
 fn crawl_with(faults: FaultConfig, knobs: Knobs) -> CrawlStore {
     let server_cfg = ServerConfig { workers: 8, queue: 256, faults, ..Default::default() };
-    let services = SimServices::start(world(), server_cfg).expect("services");
+    let services = SimServices::simulated(world(), server_cfg).expect("services");
     let mut crawler = Crawler::new(Endpoints {
         dissenter: services.dissenter.addr(),
         gab: services.gab.addr(),
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.workers = 1; // deterministic request order
     crawler.config.retries = knobs.retries;
     crawler.config.backoff = Duration::from_millis(1);
@@ -236,13 +237,14 @@ fn parallel_storm_keeps_accounting_and_metrics_coherent() {
     // different modules.
     let server_cfg =
         ServerConfig { workers: 8, queue: 256, faults: fast_storm(23), ..Default::default() };
-    let services = SimServices::start(world(), server_cfg).expect("services");
+    let services = SimServices::simulated(world(), server_cfg).expect("services");
     let mut crawler = Crawler::new(Endpoints {
         dissenter: services.dissenter.addr(),
         gab: services.gab.addr(),
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.workers = 4;
     crawler.config.retries = 2;
     crawler.config.backoff = Duration::from_millis(1);

@@ -41,6 +41,7 @@ fn crawler_for(services: &SimServices) -> Crawler {
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.enum_gap_tolerance = 600;
     crawler.enable_revalidation(1 << 14);
     crawler
@@ -81,7 +82,8 @@ fn assert_identical(got: &[(String, Vec<u8>)], want: &[(String, Vec<u8>)], conte
 #[test]
 fn killed_crawl_resumes_to_a_byte_identical_store() {
     let world = tiny_world();
-    let services = SimServices::start(world, crawler::default_server_config()).expect("services");
+    let services =
+        SimServices::simulated(world, crawler::default_server_config()).expect("services");
 
     // Uninterrupted reference run, journaled, to learn the op count.
     let reference_dir = TempDir::new("ref");
@@ -148,7 +150,8 @@ fn killed_crawl_resumes_to_a_byte_identical_store() {
 #[test]
 fn recovery_is_idempotent_before_resume() {
     let world = tiny_world();
-    let services = SimServices::start(world, crawler::default_server_config()).expect("services");
+    let services =
+        SimServices::simulated(world, crawler::default_server_config()).expect("services");
 
     let dir = TempDir::new("idem");
     let cfg = DurableConfig {
@@ -179,7 +182,8 @@ fn recovery_is_idempotent_before_resume() {
 #[test]
 fn resume_skips_nothing_when_the_journal_is_complete() {
     let world = tiny_world();
-    let services = SimServices::start(world, crawler::default_server_config()).expect("services");
+    let services =
+        SimServices::simulated(world, crawler::default_server_config()).expect("services");
 
     let dir = TempDir::new("complete");
     let crawler = crawler_for(&services);

@@ -22,13 +22,15 @@ fn fixture() -> &'static Fixture {
         let (world, truth) = synth::generate(&cfg);
         let world = Arc::new(world);
         let services =
-            SimServices::start(world.clone(), crawler::default_server_config()).expect("services");
+            SimServices::simulated(world.clone(), crawler::default_server_config())
+                .expect("services");
         let mut crawler = Crawler::new(Endpoints {
             dissenter: services.dissenter.addr(),
             gab: services.gab.addr(),
             reddit: services.reddit.addr(),
             youtube: services.youtube.addr(),
         });
+        crawler.clock = services.clock.clone();
         crawler.config.enum_gap_tolerance = 600;
         let store = crawler.full_crawl();
         // Keep the servers alive for the store's lifetime by leaking them

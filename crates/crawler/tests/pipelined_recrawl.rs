@@ -29,7 +29,7 @@ fn a_pipelined_recrawl_resolves_its_304s_from_the_cache_to_an_identical_store() 
     let cfg = WorldConfig { scale: Scale::Custom(0.001), ..WorldConfig::small() };
     let (world, _) = synth::generate(&cfg);
     let server_metrics = obs::Registry::new();
-    let services = SimServices::start(
+    let services = SimServices::simulated(
         std::sync::Arc::new(world),
         ServerConfig { metrics: Some(server_metrics.clone()), ..crawler::default_server_config() },
     )
@@ -40,6 +40,7 @@ fn a_pipelined_recrawl_resolves_its_304s_from_the_cache_to_an_identical_store() 
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.enum_gap_tolerance = 600;
     crawler.enable_revalidation(1 << 14);
     let coalesced = || server_metrics.snapshot().counter("conn.coalesced").unwrap_or(0);

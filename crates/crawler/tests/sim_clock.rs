@@ -1,6 +1,6 @@
 //! Simulated-clock regression tests (the longitudinal-sweep contract):
-//! when the fronts' rate limiters and the crawler share one
-//! [`platform::SimClock`], throttle waits advance simulated time
+//! when the fronts' rate limiters and the crawler share one simulated
+//! [`platform::Clock`], throttle waits advance simulated time
 //! instead of sleeping, so
 //!
 //! 1. a crawl against *binding* rate limits finishes in wall-clock
@@ -20,13 +20,12 @@
 use crawler::journal::is_kill_error;
 use crawler::{CrawlStore, Crawler, DurableConfig, Endpoints, Failpoint};
 use httpnet::ServerConfig;
-use platform::{RateLimiter, SimClock, World};
+use platform::{Clock, RateLimiter, World};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use synth::config::Scale;
 use synth::WorldConfig;
 use webfront::cache::FrontCache;
-use webfront::dissenter::DissenterFront;
 use webfront::gab::GabFront;
 use webfront::{SimFronts, SimServices};
 
@@ -42,28 +41,20 @@ fn world() -> Arc<World> {
 
 /// Fronts whose Gab limiter genuinely binds (50 requests per 60-second
 /// window — enumeration alone needs hundreds), all keyed to `clock`.
-fn binding_services(clock: &SimClock) -> SimServices {
+fn binding_services(clock: &Clock) -> SimServices {
     let w = world();
-    let stamp = w.content_hash();
-    let mut fronts = SimFronts::new(w.clone());
-    fronts.gab = Arc::new(GabFront::with_clock(
+    let mut fronts = SimFronts::on(w.clone(), clock.clone());
+    fronts.gab = Arc::new(GabFront::with_parts(
         w.clone(),
-        FrontCache::new(stamp),
-        50,
-        60,
-        clock.clone(),
-    ));
-    fronts.dissenter = Arc::new(DissenterFront::with_clock(
-        w,
-        FrontCache::new(stamp),
-        RateLimiter::dissenter_per_url(),
+        FrontCache::new(w.content_hash()),
+        RateLimiter::new(50, 60),
         clock.clone(),
     ));
     SimServices::start_with(fronts, ServerConfig { workers: 8, queue: 256, ..Default::default() })
         .expect("services")
 }
 
-fn clocked_crawler(services: &SimServices, clock: &SimClock) -> Crawler {
+fn clocked_crawler(services: &SimServices) -> Crawler {
     let mut crawler = Crawler::new(Endpoints {
         dissenter: services.dissenter.addr(),
         gab: services.gab.addr(),
@@ -73,7 +64,7 @@ fn clocked_crawler(services: &SimServices, clock: &SimClock) -> Crawler {
     crawler.config.workers = 1; // deterministic request order
     crawler.config.backoff = Duration::from_millis(1);
     crawler.config.enum_gap_tolerance = 400;
-    crawler.set_clock(clock.clone());
+    crawler.clock = services.clock.clone();
     crawler
 }
 
@@ -91,9 +82,9 @@ fn persist_bytes(store: &CrawlStore, tag: &str) -> Vec<(&'static str, Vec<u8>)> 
 #[test]
 fn clocked_throttle_advances_sim_time_not_wall() {
     let started = std::time::Instant::now();
-    let clock = SimClock::new(ids::STUDY_END);
+    let clock = Clock::simulated(ids::STUDY_END);
     let services = binding_services(&clock);
-    let crawler = clocked_crawler(&services, &clock);
+    let crawler = clocked_crawler(&services);
     let store = crawler.full_crawl();
     std::mem::forget(services);
 
@@ -107,7 +98,7 @@ fn clocked_throttle_advances_sim_time_not_wall() {
 
     // The binding-limit crawl reconstructs the same mirror an unlimited
     // crawl does — rate limiting costs (simulated) time, never data.
-    let free = SimServices::start(
+    let free = SimServices::simulated(
         world(),
         ServerConfig { workers: 8, queue: 256, ..Default::default() },
     )
@@ -120,6 +111,7 @@ fn clocked_throttle_advances_sim_time_not_wall() {
     });
     reference.config.workers = 1;
     reference.config.enum_gap_tolerance = 400;
+    reference.clock = free.clock.clone();
     let want = reference.full_crawl();
     std::mem::forget(free);
     for ((name, want), (_, have)) in
@@ -143,16 +135,16 @@ fn resumed_crawl_replays_identically_under_sim_clock() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Uninterrupted clocked run: the reference mirror.
-    let clock = SimClock::new(ids::STUDY_END);
+    let clock = Clock::simulated(ids::STUDY_END);
     let services = binding_services(&clock);
-    let crawler = clocked_crawler(&services, &clock);
+    let crawler = clocked_crawler(&services);
     let want = crawler.full_crawl();
     std::mem::forget(services);
 
     // Same crawl, killed mid-journal under its own clock...
-    let clock = SimClock::new(ids::STUDY_END);
+    let clock = Clock::simulated(ids::STUDY_END);
     let services = binding_services(&clock);
-    let mut crawler = clocked_crawler(&services, &clock);
+    let mut crawler = clocked_crawler(&services);
     crawler.enable_revalidation(10_000);
     let cfg = DurableConfig {
         failpoint: Failpoint { kill_at_op: Some(12), torn_tail: false },
@@ -166,7 +158,7 @@ fn resumed_crawl_replays_identically_under_sim_clock() {
     // exactly as a longitudinal sweep resumes: simulated time carries
     // over, so spent rate windows stay spent.
     let services = binding_services(&clock);
-    let mut resumer = clocked_crawler(&services, &clock);
+    let mut resumer = clocked_crawler(&services);
     resumer.enable_revalidation(10_000);
     let (resumed, _info) = resumer.resume(&dir, &DurableConfig::default()).expect("resume");
     std::mem::forget(services);

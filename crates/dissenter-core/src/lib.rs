@@ -321,7 +321,9 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
         metrics: Some(metrics.clone()),
         ..crawler::default_server_config()
     };
-    let services = SimServices::start(world.clone(), server_config)
+    // Simulated time from the end of the paper's dataset: rate-limit
+    // resets are waited out by advancing the services' clock, not slept.
+    let services = SimServices::simulated(world.clone(), server_config)
         .expect("failed to start simulated services");
     span.finish();
     budget.check("serve");
@@ -334,6 +336,7 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
     });
     crawler.config = cfg.crawl.clone();
     crawler.metrics = metrics.clone();
+    crawler.clock = services.clock.clone();
     if let Some(capacity) = cfg.revalidation {
         crawler.enable_revalidation(capacity);
     }

@@ -10,7 +10,7 @@
 //! deletions. Two ways to measure it:
 //!
 //! * [`run_composed`] — the longitudinal crawler: one **sweep** per
-//!   epoch state, all sweeps sharing one [`platform::SimClock`] (so
+//!   epoch state, all sweeps sharing one simulated [`platform::Clock`] (so
 //!   rate windows persist across sweeps) and one
 //!   [`httpnet::RevalidationCache`] (so unchanged pages revalidate to
 //!   `304`s against the per-target ETag stamps of
@@ -56,7 +56,7 @@ use analysis::windowed::{
 };
 use classify::ScorerVersion;
 use crawler::{CrawlStore, Crawler, DurableConfig, Endpoints, Failpoint};
-use platform::{SimClock, World};
+use platform::{Clock, World};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -177,7 +177,7 @@ fn http_totals(metrics: &obs::Registry) -> (u64, u64) {
 fn sweep(
     cfg: &LongitudinalConfig,
     world: &Arc<World>,
-    clock: &SimClock,
+    clock: &Clock,
     reval: &httpnet::RevalidationCache,
     hint: Option<crawler::SweepHint>,
     sweep_no: u32,
@@ -198,7 +198,7 @@ fn sweep(
     crawler.config.enum_gap_tolerance =
         crawler.config.enum_gap_tolerance.min((world.gab.max_id() / 4).max(512));
     crawler.set_revalidation(reval.clone());
-    crawler.set_clock(clock.clone());
+    crawler.clock = services.clock.clone();
     if let Some(hint) = hint {
         crawler.set_sweep_hint(hint);
     }
@@ -300,7 +300,7 @@ fn finish(
 pub fn run_composed(cfg: &LongitudinalConfig) -> LongitudinalStudy {
     let workers = cfg.study.workers.max(1);
     let versions = version_schedule(cfg.epochs, cfg.drift, cfg.drift_seed);
-    let clock = SimClock::new(epoch_end(0));
+    let clock = Clock::simulated(epoch_end(0));
     let reval = httpnet::RevalidationCache::new(1 << 18);
 
     let mut sweep_not_modified = Vec::new();
@@ -333,7 +333,7 @@ pub fn run_composed(cfg: &LongitudinalConfig) -> LongitudinalStudy {
 pub fn run_one_shot(cfg: &LongitudinalConfig) -> LongitudinalStudy {
     let workers = cfg.study.workers.max(1);
     let versions = version_schedule(cfg.epochs, cfg.drift, cfg.drift_seed);
-    let clock = SimClock::new(epoch_end(cfg.epochs));
+    let clock = Clock::simulated(epoch_end(cfg.epochs));
     let reval = httpnet::RevalidationCache::new(1 << 18);
 
     let (world, _) = synth::world_at_epoch(&cfg.study.world, cfg.epochs, workers);

@@ -394,7 +394,8 @@ impl Client {
     /// One pipelined exchange on `conn`: all of `reqs` in one write, then
     /// their responses in order. Fails only when the first response
     /// fails; a later failure ends the answers early and drops the
-    /// connection. A fully answered connection goes back to the pool.
+    /// connection. A fully answered connection goes back to the pool
+    /// unless its last response announced `Connection: close`.
     fn exchange_pipelined(
         &self,
         mut conn: PooledConn,
@@ -413,7 +414,12 @@ impl Client {
                 Err(_) => return Ok(answers),
             }
         }
-        self.pool.release(self.addr, conn);
+        let closing = |r: &Response| {
+            r.headers.get("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        };
+        if !matches!(answers.last(), Some((Ok(last), _)) if closing(last)) {
+            self.pool.release(self.addr, conn);
+        }
         Ok(answers)
     }
 }
@@ -615,9 +621,10 @@ mod tests {
 
     #[test]
     fn transparent_retry_reconciles_pool_and_server_counters() {
-        // Server closes after every request, so each logical request
-        // after the first burns one stale reuse and opens one fresh
-        // connection — yet requests/served counters see one request each.
+        // Server closes after every request and says so with
+        // `Connection: close`, so the client never parks a retired
+        // connection: each logical request opens one fresh connection and
+        // no checkout is stale.
         let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::html("pong".into()));
         let cfg = ServerConfig { max_requests_per_conn: 1, ..Default::default() };
         let server = Server::start(handler, cfg).unwrap();
@@ -628,11 +635,10 @@ mod tests {
         }
         let stats = client.pool().stats();
         assert_eq!(stats.open, 4, "every logical request ends on a fresh connection");
-        assert_eq!(stats.reuse, 3, "stale checkouts before each transparent retry");
+        assert_eq!(stats.reuse, 0, "an announced close is never parked for reuse");
         assert_eq!(server.requests_served(), 4, "server saw exactly the logical requests");
-        // The transparent resend must not double-count: counters are part
-        // of the deterministic replay surface, and staleness depends on
-        // scheduling.
+        // Counters are part of the deterministic replay surface: one
+        // request each, however the connections were cycled.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("http.ka.requests"), Some(4));
         assert_eq!(snap.histogram("http.ka.latency").unwrap().count, 4);
@@ -677,16 +683,21 @@ mod tests {
 
     #[test]
     fn a_stale_pooled_connection_resends_the_batch_once() {
-        let server = retiring_echo_server();
+        // The server silently closes connections idle past its read
+        // timeout, so a parked connection goes stale without notice.
+        let handler: Arc<dyn Handler> =
+            Arc::new(|req: &Request| Response::html(format!("echo:{}", req.path())));
+        let cfg = ServerConfig { read_timeout: Duration::from_millis(50), ..Default::default() };
+        let server = Server::start(handler, cfg).unwrap();
         let registry = obs::Registry::new();
         let client = Client::builder(server.addr()).metrics(&registry, "pl").build();
-        // Three requests use up the connection; the client parks it, and
-        // the server has closed it.
         for t in ["/w0", "/w1", "/w2"] {
             client.get(t).unwrap();
         }
         let parked = client.pool().stats();
         assert_eq!((parked.open, parked.idle), (1, 1));
+        // Past the timeout plus one 200 ms sweep, the server has closed it.
+        std::thread::sleep(Duration::from_millis(500));
         let targets = targets(8);
         assert_echoed(client.get_pipelined(&targets), &targets);
         assert!(client.pool().stats().reuse > parked.reuse, "the stale connection was tried");

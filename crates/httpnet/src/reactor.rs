@@ -173,8 +173,7 @@ pub(crate) struct ReactorShared {
     pub(crate) access_log: Arc<crate::log::AccessLog>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) config: ServerConfig,
-    /// `pool.job_panics` — handler panics confined by the reactor (the
-    /// metric name predates the reactor; kept for continuity).
+    /// `server.handler_panics` — handler panics confined by the reactor.
     pub(crate) handler_panics: Option<obs::Counter>,
     /// `conn.read_timeouts` — sweep closes of connections stuck in
     /// `Reading` (idle keep-alive expiry and slowloris header trickles).
@@ -516,10 +515,18 @@ impl Reactor {
             conn.close_after_write = true;
             return false;
         }
+        conn.served += 1;
+        let retiring = conn.served >= shared.config.max_requests_per_conn;
+        conn.close_after_write = kill || close_requested || retiring;
         let mut staged = Staged { head: Vec::new(), body: Vec::new() };
         let mut log = None;
         match (resp, raw) {
-            (Some(resp), _) => {
+            (Some(mut resp), _) => {
+                // Announce a keep-alive retirement, so the client does not
+                // park a connection the server is closing.
+                if retiring {
+                    resp.headers.add("Connection", "close");
+                }
                 serialize_response_head(&resp, &mut staged.head);
                 log = Some(PendingLog {
                     method: req.method,
@@ -534,10 +541,6 @@ impl Reactor {
             (None, Some(bytes)) => staged.head = bytes,
             (None, None) => {}
         }
-        conn.served += 1;
-        conn.close_after_write = kill
-            || close_requested
-            || conn.served >= shared.config.max_requests_per_conn;
         if !delay.is_zero() {
             conn.parked = Some(Parked { ready_at: started + delay, staged, log });
             return false;

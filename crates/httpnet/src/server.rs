@@ -64,8 +64,8 @@ pub struct ServerConfig {
     /// Fault injection.
     pub faults: FaultConfig,
     /// Optional metrics registry: handler panics are counted under
-    /// `pool.job_panics` (name kept from the worker-pool era) and accept
-    /// failures under `accept.errors` when set.
+    /// `server.handler_panics` and accept failures under `accept.errors`
+    /// when set.
     pub metrics: Option<obs::Registry>,
 }
 
@@ -116,7 +116,7 @@ impl Server {
         let requests_served = Arc::new(AtomicU64::new(0));
         let access_log = Arc::new(crate::log::AccessLog::new(4096));
         let accept_errors = config.metrics.as_ref().map(|r| r.counter("accept.errors"));
-        let handler_panics = config.metrics.as_ref().map(|r| r.counter("pool.job_panics"));
+        let handler_panics = config.metrics.as_ref().map(|r| r.counter("server.handler_panics"));
         let read_timeouts = config.metrics.as_ref().map(|r| r.counter("conn.read_timeouts"));
         let write_timeouts = config.metrics.as_ref().map(|r| r.counter("conn.write_timeouts"));
         let oversize = config.metrics.as_ref().map(|r| r.counter("conn.oversize"));
@@ -566,7 +566,13 @@ mod tests {
         // The server survives and keeps serving.
         let client = Client::builder(server.addr()).build();
         assert_eq!(client.get("/fine").unwrap().text(), "ok");
-        assert_eq!(registry.snapshot().counter("pool.job_panics"), Some(1));
+        // A scoring pool sharing the registry, as in `run_study`, counts
+        // its job panics apart from the server's handler panics.
+        crate::ThreadPool::with_metrics(1, 1, Some(&registry))
+            .execute(|| panic!("scoring job exploded"));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("server.handler_panics"), Some(1));
+        assert_eq!(snap.counter("pool.job_panics"), Some(1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 14-month measurement window: Dissenter's launch in February 2019 through
 //! the end of April 2020. Real wall-clock time never feeds the generators,
 //! so a `(seed, scale)` pair always produces an identical world. The
-//! advanceable clock the fronts and crawler share is `platform::SimClock`.
+//! advanceable clock the fronts and crawler share is `platform::Clock`.
 
 /// Seconds since the Unix epoch. Dissenter encodes this (truncated to 32
 /// bits, big-endian) into the first four bytes of each object ID.

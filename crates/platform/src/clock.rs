@@ -1,48 +1,76 @@
-//! Simulated study time.
+//! Protocol time: the one clock rate limits and throttle waits read.
 //!
-//! The longitudinal engine replays the paper's 14-month crawl as a
-//! sequence of epochs over an evolving world. Everything time-dependent
-//! on the serving side (rate-limit windows, penalty lockouts,
-//! `X-RateLimit-Reset` headers) and on the crawling side (throttle
-//! sleeps) keys off one shared [`SimClock`] instead of the wall clock,
-//! so a sweep — or a killed-and-resumed sweep — replays identically no
-//! matter when or how fast it actually runs.
+//! Everything time-dependent in the simulated protocol — rate-limit
+//! windows, penalty lockouts, `X-RateLimit-Reset` headers on the
+//! serving side, and the crawler's sleep-until-reset on the other —
+//! keys off a [`Clock`]. A clock is either a **simulated** instant
+//! shared by every clone, or the **wall**; only this module knows
+//! which. On a simulated clock a wait *advances* the instant instead of
+//! sleeping, so a crawl that honors dozens of 60 s resets finishes in
+//! wall-clock seconds, and a sweep — or a killed-and-resumed sweep —
+//! replays identically no matter when or how fast it actually runs.
 //!
-//! The clock is a monotone atomic: it only moves forward
-//! ([`SimClock::advance_to`] is a `fetch_max`), which keeps concurrent
+//! The simulated instant is a monotone atomic: it only moves forward
+//! ([`Clock::advance_to`] is a `fetch_max`), which keeps concurrent
 //! advancement races harmless — the furthest-ahead waiter wins and
 //! everyone re-reads a consistent "now".
+//!
+//! The wall clock is the [`Default`], for the two users whose time must
+//! be real or agree without being shared explicitly: the abuse harness
+//! (whose polite-vs-greedy race measures real waits) and pieces built
+//! apart by default constructors, which then still agree on time.
+//! Transport deadlines (timeouts, retry backoff, breaker cooldowns)
+//! are not protocol time and stay on `std::time::Instant`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// A shared, monotone simulated clock (seconds since the Unix epoch,
-/// like every other timestamp in the world). Cheap to clone; all clones
-/// observe and advance the same instant.
+/// Seconds since the Unix epoch, simulated or wall (see the module
+/// docs). Cheap to clone; all clones of a simulated clock observe and
+/// advance the same instant.
 #[derive(Debug, Clone, Default)]
-pub struct SimClock(Arc<AtomicU64>);
+pub struct Clock(Option<Arc<AtomicU64>>);
 
-impl SimClock {
-    /// A clock starting at `now` (seconds).
-    pub fn new(now: u64) -> Self {
-        Self(Arc::new(AtomicU64::new(now)))
+impl Clock {
+    /// The wall clock.
+    pub fn wall() -> Self {
+        Self(None)
     }
 
-    /// The current simulated time in seconds.
+    /// A simulated clock starting at `now` (seconds).
+    pub fn simulated(now: u64) -> Self {
+        Self(Some(Arc::new(AtomicU64::new(now))))
+    }
+
+    /// The current time in seconds.
     pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
+        match &self.0 {
+            Some(sim) => sim.load(Ordering::Acquire),
+            None => SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs()),
+        }
     }
 
-    /// Move the clock forward to `t`. A no-op if the clock is already at
-    /// or past `t` — time never runs backwards, so concurrent advances
-    /// resolve to the furthest instant.
+    /// Move a simulated clock forward to `t`. A no-op if the clock is
+    /// already at or past `t` — time never runs backwards, so concurrent
+    /// advances resolve to the furthest instant — and on the wall, which
+    /// only time moves.
     pub fn advance_to(&self, t: u64) {
-        self.0.fetch_max(t, Ordering::AcqRel);
+        if let Some(sim) = &self.0 {
+            sim.fetch_max(t, Ordering::AcqRel);
+        }
     }
 
-    /// Move the clock forward by `secs` relative to its current reading.
-    pub fn advance(&self, secs: u64) {
-        self.0.fetch_add(secs, Ordering::AcqRel);
+    /// Wait out `d`: a simulated clock advances by its whole seconds,
+    /// at least one (so every wait moves time and a retried request
+    /// cannot land in the instant that refused it); the wall sleeps.
+    pub fn wait(&self, d: Duration) {
+        match &self.0 {
+            Some(sim) => {
+                sim.fetch_add(d.as_secs().max(1), Ordering::AcqRel);
+            }
+            None => std::thread::sleep(d),
+        }
     }
 }
 
@@ -52,20 +80,40 @@ mod tests {
 
     #[test]
     fn clones_share_one_instant() {
-        let a = SimClock::new(100);
+        let a = Clock::simulated(100);
         let b = a.clone();
         b.advance_to(250);
         assert_eq!(a.now(), 250);
-        a.advance(10);
+        a.wait(Duration::from_secs(10));
         assert_eq!(b.now(), 260);
     }
 
     #[test]
     fn advance_to_is_monotone() {
-        let c = SimClock::new(500);
+        let c = Clock::simulated(500);
         c.advance_to(400);
         assert_eq!(c.now(), 500, "time never runs backwards");
         c.advance_to(501);
         assert_eq!(c.now(), 501);
+    }
+
+    #[test]
+    fn a_simulated_wait_advances_whole_seconds_at_least_one() {
+        let c = Clock::simulated(1_000);
+        c.wait(Duration::from_millis(300));
+        assert_eq!(c.now(), 1_001);
+        c.wait(Duration::from_millis(2_900));
+        assert_eq!(c.now(), 1_003);
+    }
+
+    #[test]
+    fn the_wall_sleeps_and_cannot_be_moved() {
+        let wall = Clock::default();
+        let before = wall.now();
+        wall.advance_to(before + 3_600);
+        assert!(wall.now() < before + 3_600, "advance_to must not move the wall");
+        let started = std::time::Instant::now();
+        wall.wait(Duration::from_millis(20));
+        assert!(started.elapsed() >= Duration::from_millis(20), "a wall wait sleeps");
     }
 }

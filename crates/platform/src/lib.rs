@@ -32,7 +32,7 @@ pub mod visibility;
 pub mod world;
 pub mod youtube;
 
-pub use clock::SimClock;
+pub use clock::Clock;
 pub use dissenter::DissenterDb;
 pub use gab::GabDb;
 pub use model::{

@@ -179,6 +179,11 @@ impl RateLimiter {
         self.limit
     }
 
+    /// The configured window length in seconds.
+    pub fn window_secs(&self) -> u64 {
+        self.window_secs
+    }
+
     /// Number of keys currently tracked.
     pub fn tracked_keys(&self) -> usize {
         self.state.len()

@@ -515,6 +515,7 @@ fn abuse_traffic(sc: &Scenario) -> Result<(), Failure> {
         world.clone(),
         cache,
         limiter,
+        platform::Clock::wall(),
     ));
     let mut fronts = webfront::SimFronts::new(world.clone());
     fronts.dissenter = dissenter.clone();
@@ -703,19 +704,13 @@ fn crash_recovery(sc: &Scenario) -> Result<(), Failure> {
     let (world, _truth) = synth::generate(&cfg.world);
     let world = std::sync::Arc::new(world);
 
-    // Dissenter's per-URL fixed window is served with a short period
-    // here so a resume landing inside the window a killed run already
-    // spent sleeps milliseconds, not the production 60 s (the crawler's
-    // sleep-until-reset handling is what keeps that correct).
-    let mut fronts = webfront::SimFronts::new(world.clone());
-    fronts.dissenter =
-        std::sync::Arc::new(webfront::dissenter::DissenterFront::with_rate_limit(
-            world.clone(),
-            10,
-            2,
-        ));
-    let services = webfront::SimServices::start_with(fronts, crawler::default_server_config())
-        .map_err(|e| fail("crash.serve", e.to_string()))?;
+    // Simulated time: a resume landing inside the production 60 s
+    // window a killed run already spent waits it out by advancing the
+    // services' clock (the crawler's sleep-until-reset handling is what
+    // keeps that correct).
+    let services =
+        webfront::SimServices::simulated(world.clone(), crawler::default_server_config())
+            .map_err(|e| fail("crash.serve", e.to_string()))?;
     let crawler_for = || {
         let mut crawler = crawler::Crawler::new(crawler::Endpoints {
             dissenter: services.dissenter.addr(),
@@ -723,6 +718,7 @@ fn crash_recovery(sc: &Scenario) -> Result<(), Failure> {
             reddit: services.reddit.addr(),
             youtube: services.youtube.addr(),
         });
+        crawler.clock = services.clock.clone();
         crawler.config = cfg.crawl.clone();
         crawler.config.enum_gap_tolerance =
             crawler.config.enum_gap_tolerance.min((world.gab.max_id() / 4).max(512));
@@ -920,7 +916,7 @@ fn incremental_recrawl(sc: &Scenario) -> Result<(), Failure> {
     let (world, _truth) = synth::generate(&cfg.world);
     let world = std::sync::Arc::new(world);
     let services =
-        webfront::SimServices::start(world.clone(), crawler::default_server_config())
+        webfront::SimServices::simulated(world.clone(), crawler::default_server_config())
             .map_err(|e| fail("incremental.serve", e.to_string()))?;
     let mut crawler = crawler::Crawler::new(crawler::Endpoints {
         dissenter: services.dissenter.addr(),
@@ -928,6 +924,7 @@ fn incremental_recrawl(sc: &Scenario) -> Result<(), Failure> {
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config = cfg.crawl.clone();
     crawler.config.enum_gap_tolerance =
         crawler.config.enum_gap_tolerance.min((world.gab.max_id() / 4).max(512));

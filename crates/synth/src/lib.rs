@@ -21,9 +21,8 @@
 //! The crate's surface is **streaming-first**: [`WorldSource`] yields
 //! seed-deterministic [`WorldBatch`]es (users, URLs, comments with texts
 //! synthesized per batch, votes, the Reddit mirror, baselines) without
-//! ever materializing the full world; [`generate`] and
-//! [`generate_sharded`] are documented convenience wrappers that drain a
-//! source into one [`platform::World`].
+//! ever materializing the full world; [`generate`] is the one
+//! convenience wrapper that drains a source into a [`platform::World`].
 //!
 //! ```no_run
 //! use synth::{WorldBatch, WorldConfig, WorldSource};
@@ -58,4 +57,4 @@ pub use labeled::{labeled_corpus, labeled_corpus_sharded, LabeledSample};
 pub use source::{WorldBatch, WorldSource, DEFAULT_BATCH_SIZE};
 pub use textgen::{CommentSpec, TextGen};
 pub use longitudinal::{apply_epoch, world_at_epoch};
-pub use world::{generate, generate_sharded, GroundTruth};
+pub use world::{generate, GroundTruth};

@@ -1,6 +1,6 @@
 //! Per-epoch world evolution for the longitudinal study engine.
 //!
-//! The base generator ([`crate::world::generate_sharded`]) produces the
+//! The base generator ([`crate::WorldSource`]) produces the
 //! paper's 14-month snapshot — every timestamp strictly before
 //! `STUDY_END` (window 0). [`apply_epoch`] extends that world by one
 //! epoch: new users joining along a compounding adoption curve, new
@@ -29,9 +29,8 @@ use crate::config::WorldConfig;
 use crate::dist::{beta, child_seed, coin, geometric, Categorical};
 use crate::names;
 use crate::textgen::{CommentSpec, TextGen};
-use crate::world::{
-    bias_attack_mult, bias_severity_mult, domain_bias, generate_sharded, Bias, GroundTruth,
-};
+use crate::world::{bias_attack_mult, bias_severity_mult, domain_bias, Bias, GroundTruth};
+use crate::WorldSource;
 use analysis::url::ParsedUrl;
 pub use analysis::windowed::{epoch_end, epoch_start, window_of, EPOCH_SECS};
 use ids::{EntityKind, ObjectIdGen, Timestamp};
@@ -50,7 +49,7 @@ pub const EPOCH_GROWTH: f64 = 0.2;
 /// in order; any epoch is reproducible in isolation because epoch `k`'s
 /// randomness depends only on `(cfg.seed, k)`.
 pub fn world_at_epoch(cfg: &WorldConfig, epoch: u32, workers: usize) -> (World, GroundTruth) {
-    let (mut world, mut truth) = generate_sharded(cfg, workers);
+    let (mut world, mut truth) = WorldSource::new(cfg, workers).collect_world();
     for k in 1..=epoch {
         apply_epoch(&mut world, &mut truth, cfg, k, workers);
     }

@@ -10,8 +10,8 @@
 //! index ([`TextGen::generate_batch_indexed`]). Consequences:
 //!
 //! * **Byte-identity.** Collecting every batch into a `World` reproduces
-//!   [`crate::world::generate_sharded`] bit for bit at any worker count
-//!   and any batch size — the `scale.stream` simcheck family holds this
+//!   [`crate::world::generate`] bit for bit at any worker count and any
+//!   batch size — the `scale.stream` simcheck family holds this
 //!   across seeds.
 //! * **Bounded text memory.** The dominant transient of the materializing
 //!   path — every comment text held in a side vector, then cloned into
@@ -1110,7 +1110,7 @@ mod tests {
     #[test]
     fn streamed_batches_rebuild_the_materialized_world() {
         let cfg = tiny_cfg();
-        let (reference, ref_truth) = crate::world::generate_sharded(&cfg, 1);
+        let (reference, ref_truth) = crate::world::generate(&cfg);
         let source = WorldSource::new(&cfg, 1);
         assert_eq!(source.truth().active_indices, ref_truth.active_indices);
         assert_eq!(source.truth().core_author_ids, ref_truth.core_author_ids);

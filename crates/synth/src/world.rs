@@ -1,4 +1,4 @@
-//! The end-to-end world generator (materializing convenience wrappers).
+//! The end-to-end world generator (the materializing convenience wrapper).
 //!
 //! [`generate`] builds a complete [`platform::World`] from a
 //! [`WorldConfig`]: Gab users (with the ID-counter anomalies of Fig. 2),
@@ -8,7 +8,7 @@
 //! planted hateful core (Fig. 9, §4.5.1), the Reddit mirror (Fig. 6), the
 //! YouTube state space (§4.2.2), and the Table-3 baseline corpora.
 //!
-//! Both entry points are thin wrappers that drain a streaming
+//! It is a thin wrapper that drains a streaming
 //! [`crate::source::WorldSource`] into one `World`; use the source
 //! directly to process batches without materializing everything at once.
 //! This module keeps the phenomenon knobs ([`bias_severity_mult`],
@@ -69,11 +69,10 @@ pub fn bias_attack_mult(b: Bias) -> f64 {
     }
 }
 
-/// Generate a complete world (serial; identical to [`generate_sharded`]
-/// at any worker count).
-///
-/// Convenience wrapper over [`WorldSource`]: materializes every batch
-/// into one `World`. Prefer the source for batch-at-a-time processing.
+/// Generate a complete world: the one collect wrapper over
+/// [`WorldSource`], which it drains serially into one `World`. The
+/// result is byte-identical to draining a source at any worker count
+/// and batch size. Prefer the source for batch-at-a-time processing.
 ///
 /// ```no_run
 /// let (world, truth) = synth::generate(&synth::WorldConfig::small());
@@ -81,21 +80,7 @@ pub fn bias_attack_mult(b: Bias) -> f64 {
 /// assert!(world.dissenter.total_comments() > 0);
 /// ```
 pub fn generate(cfg: &WorldConfig) -> (World, GroundTruth) {
-    generate_sharded(cfg, 1)
-}
-
-/// [`generate`] with comment-text generation sharded over `workers`
-/// threads. World structure (users, URLs, slots, votes, flags) is always
-/// sampled serially from the per-section seed streams; only text
-/// synthesis — the dominant cost — fans out, with each comment drawing
-/// from its own stream split by stable comment index
-/// (`stream_seed(child_seed(seed, TAG), i)`), so the world is
-/// byte-identical for every worker count.
-///
-/// Equivalent to draining [`WorldSource::new`] with
-/// [`WorldSource::collect_world`] — which is exactly what it does.
-pub fn generate_sharded(cfg: &WorldConfig, workers: usize) -> (World, GroundTruth) {
-    WorldSource::new(cfg, workers).collect_world()
+    WorldSource::new(cfg, 1).collect_world()
 }
 
 #[cfg(test)]
@@ -245,9 +230,9 @@ mod tests {
     #[test]
     fn sharded_world_identical_for_any_worker_count() {
         let cfg = WorldConfig { scale: Scale::Custom(0.003), ..WorldConfig::small() };
-        let (serial, _) = generate_sharded(&cfg, 1);
+        let (serial, _) = generate(&cfg);
         for workers in [2, 8] {
-            let (par, _) = generate_sharded(&cfg, workers);
+            let (par, _) = WorldSource::new(&cfg, workers).collect_world();
             assert_eq!(par.dissenter.total_comments(), serial.dissenter.total_comments());
             assert!(
                 par.dissenter

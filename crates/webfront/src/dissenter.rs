@@ -6,10 +6,9 @@ use httpnet::http::percent_encode;
 use httpnet::{Handler, Params, Request, Response, Router, ServerConfig, Status};
 use ids::ObjectId;
 use parking_lot::Mutex;
-use platform::{RateLimiter, SimClock, World};
+use platform::{Clock, RateLimiter, World};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Front-level vote tallies layered over the immutable world's counts
 /// (the world behind a running front is shared and read-only; votes are
@@ -31,56 +30,26 @@ pub struct DissenterFront {
 }
 
 impl DissenterFront {
-    /// Build over a shared world with a default cache.
+    /// Build over a shared world with a default cache and the
+    /// production 10-req/min per-URL limiter on the wall clock.
     pub fn new(world: Arc<World>) -> Self {
         let stamp = world.content_hash();
-        Self::with_cache(world, FrontCache::new(stamp))
+        let limiter = RateLimiter::dissenter_per_url();
+        Self::with_parts(world, FrontCache::new(stamp), limiter, Clock::wall())
     }
 
-    /// Build over a shared world with an explicit conditional-request
-    /// cache (callers wanting `cache.*` metrics construct one with
-    /// [`FrontCache::with_registry`]).
-    pub fn with_cache(world: Arc<World>, cache: FrontCache) -> Self {
-        Self::build(world, cache, RateLimiter::dissenter_per_url(), None)
-    }
-
-    /// Build with an explicit per-URL rate limiter in place of the
-    /// advertised 10-req/min default. Tests and fast sweeps use a short
-    /// window so runs that revisit the same comment pages (e.g. a
-    /// crash-recovery resume right after a killed crawl) wait out
-    /// seconds rather than the better part of a minute.
-    pub fn with_rate_limit(world: Arc<World>, limit: u32, window_secs: u64) -> Self {
-        let stamp = world.content_hash();
-        Self::build(world, FrontCache::new(stamp), RateLimiter::new(limit, window_secs), None)
-    }
-
-    /// Build with both an explicit cache and an explicit limiter — the
-    /// adversarial-traffic harness wants `cache.*` metrics *and* a short,
-    /// penalty-enabled rate window on one front.
-    pub fn with_parts(world: Arc<World>, cache: FrontCache, limiter: RateLimiter) -> Self {
-        Self::build(world, cache, limiter, None)
-    }
-
-    /// Build with every knob explicit plus a shared [`SimClock`]: the
-    /// rate limiter's window arithmetic (and so every `X-RateLimit-Reset`
-    /// the front advertises) reads simulated time instead of the wall.
-    /// Longitudinal sweeps use this so a crawler honoring a reset header
-    /// can *advance the clock* rather than sleep, keeping resumed sweeps
-    /// byte-replayable and fast.
-    pub fn with_clock(
+    /// Build with every part explicit: the conditional-request cache
+    /// (callers wanting `cache.*` metrics construct one with
+    /// [`FrontCache::with_registry`]), the per-URL limiter, and the
+    /// [`Clock`] its window arithmetic — and so every
+    /// `X-RateLimit-Reset` the front advertises — reads. A crawler
+    /// sharing a simulated clock waits out a reset by advancing it
+    /// rather than sleeping.
+    pub fn with_parts(
         world: Arc<World>,
         cache: FrontCache,
         limiter: RateLimiter,
-        clock: SimClock,
-    ) -> Self {
-        Self::build(world, cache, limiter, Some(clock))
-    }
-
-    fn build(
-        world: Arc<World>,
-        cache: FrontCache,
-        limiter: RateLimiter,
-        clock: Option<SimClock>,
+        clock: Clock,
     ) -> Self {
         let mut router = Router::new();
         let limit_header = limiter.limit().to_string();
@@ -100,10 +69,8 @@ impl DissenterFront {
             let limiter = limiter.clone();
             let votes = votes.clone();
             let limit_header = limit_header.clone();
-            let clock = clock.clone();
             router.route("GET", "/url/:cuid", move |req, p| {
-                let now = clock.as_ref().map(SimClock::now).unwrap_or_else(now_secs);
-                let decision = limiter.lock().check(req.path(), now);
+                let decision = limiter.lock().check(req.path(), clock.now());
                 match decision {
                     platform::ratelimit::RateDecision::Deny { reset_at, penalized } => {
                         let mut r = Response::status(Status::TOO_MANY);
@@ -191,10 +158,6 @@ impl Front for DissenterFront {
     fn server_config(&self, base: &ServerConfig) -> ServerConfig {
         self.config_override.clone().unwrap_or_else(|| base.clone())
     }
-}
-
-fn now_secs() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
 /// Boilerplate padding bringing real pages over the 10 kB threshold the

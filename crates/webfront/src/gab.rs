@@ -5,9 +5,8 @@ use crate::Front;
 use httpnet::{Handler, Params, Request, Response, Router, ServerConfig, Status};
 use ids::clock::format_datetime;
 use parking_lot::Mutex;
-use platform::{RateLimiter, SimClock, World};
+use platform::{Clock, RateLimiter, World};
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The Gab API is unauthenticated — every requester sees the same JSON,
 /// so all conditional requests share one visibility class.
@@ -22,9 +21,9 @@ pub const PAGE_SIZE: usize = 80;
 /// behind hours of sleeping, so the *default* simulated limit is set high
 /// enough to never bind; the mechanism (429 + `X-RateLimit-*` headers +
 /// crawler sleep-until-reset) is fully implemented and exercised by tests
-/// that construct a [`GabFront::with_rate_limit`] with a tight window.
+/// that construct a [`GabFront::with_parts`] with a tight limiter.
 pub const RATE_LIMIT: u32 = 5_000_000;
-const RATE_WINDOW_SECS: u64 = 300;
+pub(crate) const RATE_WINDOW_SECS: u64 = 300;
 
 /// Handler for the Gab API.
 ///
@@ -41,45 +40,19 @@ pub struct GabFront {
 }
 
 impl GabFront {
-    /// Build over a shared world with the default (non-binding) limit.
-    pub fn new(world: Arc<World>) -> Self {
-        Self::with_rate_limit(world, RATE_LIMIT, RATE_WINDOW_SECS)
-    }
-
-    /// Build with an explicit conditional-request cache.
-    pub fn with_cache(world: Arc<World>, cache: FrontCache) -> Self {
-        Self::build(world, cache, RATE_LIMIT, RATE_WINDOW_SECS, None)
-    }
-
-    /// Build with an explicit rate limit (tests use tight windows to
-    /// exercise the crawler's backoff path).
-    pub fn with_rate_limit(world: Arc<World>, limit: u32, window_secs: u64) -> Self {
-        let stamp = world.content_hash();
-        Self::build(world, FrontCache::new(stamp), limit, window_secs, None)
-    }
-
-    /// Build with every knob explicit plus a shared [`SimClock`]: rate
-    /// windows and `X-RateLimit-Reset` headers read simulated time, so a
-    /// longitudinal crawler honoring a reset advances the clock instead
-    /// of sleeping.
-    pub fn with_clock(
+    /// Build with every part explicit: the conditional-request cache,
+    /// the API-wide limiter (production serves the non-binding
+    /// [`RATE_LIMIT`] per 300 s), and the [`Clock`] its windows and
+    /// `X-RateLimit-Reset` headers read. A crawler sharing a simulated
+    /// clock waits out a reset by advancing it rather than sleeping.
+    pub fn with_parts(
         world: Arc<World>,
         cache: FrontCache,
-        limit: u32,
-        window_secs: u64,
-        clock: SimClock,
+        limiter: RateLimiter,
+        clock: Clock,
     ) -> Self {
-        Self::build(world, cache, limit, window_secs, Some(clock))
-    }
-
-    fn build(
-        world: Arc<World>,
-        cache: FrontCache,
-        limit: u32,
-        window_secs: u64,
-        clock: Option<SimClock>,
-    ) -> Self {
-        let limiter = Arc::new(Mutex::new(RateLimiter::new(limit, window_secs)));
+        let limit = limiter.limit();
+        let limiter = Arc::new(Mutex::new(limiter));
         let mut router = Router::new();
         {
             let world = world.clone();
@@ -142,20 +115,15 @@ impl Front for GabFront {
     }
 }
 
-fn now_secs() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
-}
-
 fn rate_limited(
     limiter: &Mutex<RateLimiter>,
-    clock: &Option<SimClock>,
+    clock: &Clock,
     req: &Request,
     f: impl FnOnce(&Request) -> Response,
 ) -> Response {
-    let now = clock.as_ref().map(SimClock::now).unwrap_or_else(now_secs);
     let (decision, limit) = {
         let mut guard = limiter.lock();
-        (guard.check("api", now), guard.limit())
+        (guard.check("api", clock.now()), guard.limit())
     };
     match decision {
         platform::ratelimit::RateDecision::Deny { reset_at, penalized: _ } => {

@@ -32,8 +32,19 @@
 //! Each front implements [`Front`] — a [`Handler`] with a stable name and
 //! a per-service [`ServerConfig`] override — and [`SimServices::start_with`]
 //! starts one server per front from a [`SimFronts`] set. The one-line
-//! [`SimServices::start`] remains for callers happy with four identical
-//! configs.
+//! [`SimServices::start`] and [`SimServices::simulated`] remain for
+//! callers happy with four identical configs.
+//!
+//! **Time.** The Dissenter and Gab rate limiters read one
+//! [`platform::Clock`] per fleet, which [`SimServices::clock`] hands on
+//! to the crawler. [`SimServices::simulated`] (and [`SimFronts::on`] with
+//! a simulated clock) serve on simulated time, so a crawler honoring a
+//! 429's `X-RateLimit-Reset` advances the clock instead of sleeping;
+//! every crawl the repository builds runs that way. The wall clock is
+//! the default of [`SimFronts::new`] and [`SimServices::start`], whose
+//! fixed signatures are shared with pieces built apart (a
+//! `crawler::Crawler::new` crawler also defaults to the wall), and of
+//! the abuse harness, whose polite-vs-greedy race measures real waits.
 
 pub mod cache;
 pub mod dissenter;
@@ -43,7 +54,7 @@ pub mod stamps;
 pub mod youtube;
 
 use httpnet::{Handler, Server, ServerConfig};
-use platform::World;
+use platform::{Clock, RateLimiter, World};
 use std::sync::Arc;
 
 /// A simulated service front: an HTTP [`Handler`] plus the metadata
@@ -63,9 +74,9 @@ pub trait Front: Handler {
 }
 
 /// The four concrete fronts over one shared world, ready to start.
-/// Construct with [`SimFronts::new`], optionally swap in customized
-/// fronts (rate limits, cache registries, per-service configs), then
-/// hand to [`SimServices::start_with`].
+/// Construct with [`SimFronts::new`] or [`SimFronts::on`], optionally
+/// swap in customized fronts (rate limits, cache registries,
+/// per-service configs), then hand to [`SimServices::start_with`].
 pub struct SimFronts {
     /// dissenter.com handler.
     pub dissenter: Arc<dissenter::DissenterFront>,
@@ -75,34 +86,33 @@ pub struct SimFronts {
     pub reddit: Arc<reddit::RedditFront>,
     /// Rendered-YouTube handler.
     pub youtube: Arc<youtube::YouTubeFront>,
+    /// The clock the Dissenter and Gab limiters read. A swapped-in
+    /// rate-limited front should read it too; [`SimServices`] hands it
+    /// on to the crawler.
+    pub clock: Clock,
 }
 
 impl SimFronts {
-    /// Default fronts over a shared world.
+    /// Default fronts over a shared world on the wall clock.
     pub fn new(world: Arc<World>) -> Self {
-        Self {
-            dissenter: Arc::new(dissenter::DissenterFront::new(world.clone())),
-            gab: Arc::new(gab::GabFront::new(world.clone())),
-            reddit: Arc::new(reddit::RedditFront::new(world.clone())),
-            youtube: Arc::new(youtube::YouTubeFront::new(world)),
-        }
+        Self::on(world, Clock::wall())
     }
 
-    /// Default fronts whose response caches publish `cache.*` metrics
-    /// into `registry` (all four share the registry's counters).
+    /// Default fronts whose rate limiters read `clock`.
+    pub fn on(world: Arc<World>, clock: Clock) -> Self {
+        let stamp = world.content_hash();
+        Self::assemble(world, clock, [(); 4].map(|_| cache::FrontCache::new(stamp)))
+    }
+
+    /// Default fronts on the wall clock whose response caches publish
+    /// `cache.*` metrics into `registry` (all four share the registry's
+    /// counters).
     pub fn with_registry(world: Arc<World>, registry: &obs::Registry) -> Self {
         let stamp = world.content_hash();
-        let front_cache =
-            || cache::FrontCache::with_registry(stamp, httpnet::CacheConfig::default(), registry);
-        Self {
-            dissenter: Arc::new(dissenter::DissenterFront::with_cache(
-                world.clone(),
-                front_cache(),
-            )),
-            gab: Arc::new(gab::GabFront::with_cache(world.clone(), front_cache())),
-            reddit: Arc::new(reddit::RedditFront::with_cache(world.clone(), front_cache())),
-            youtube: Arc::new(youtube::YouTubeFront::with_cache(world, front_cache())),
-        }
+        let caches = [(); 4].map(|_| {
+            cache::FrontCache::with_registry(stamp, httpnet::CacheConfig::default(), registry)
+        });
+        Self::assemble(world, Clock::wall(), caches)
     }
 
     /// Fronts for one longitudinal sweep over an evolving world:
@@ -110,42 +120,49 @@ impl SimFronts {
     /// * ETags carry **per-target stamps** ([`stamps`]) instead of the
     ///   whole-world digest, so a client's validators from an earlier
     ///   sweep keep revalidating pages whose entities didn't change;
-    /// * every rate-limit decision (and `X-RateLimit-Reset` header) is
-    ///   keyed to the shared [`platform::SimClock`], so crawler waits
-    ///   advance simulated time instead of the wall;
+    /// * every rate-limit decision (and `X-RateLimit-Reset` header) reads
+    ///   the sweeps' shared simulated `clock`, so spent windows persist
+    ///   from one sweep to the next;
     /// * `cache.*` metrics land in `registry`.
-    pub fn for_sweep(
-        world: Arc<World>,
-        registry: &obs::Registry,
-        clock: platform::SimClock,
-    ) -> Self {
+    pub fn for_sweep(world: Arc<World>, registry: &obs::Registry, clock: Clock) -> Self {
         let stamp = world.content_hash();
         let front_cache = |resolver: cache::StampResolver| {
             cache::FrontCache::with_registry(stamp, httpnet::CacheConfig::default(), registry)
                 .with_stamp_resolver(resolver)
         };
+        let caches = [
+            front_cache(stamps::dissenter_stamps(world.clone())),
+            front_cache(stamps::gab_stamps(world.clone())),
+            front_cache(stamps::reddit_stamps(world.clone())),
+            front_cache(stamps::youtube_stamps(world.clone())),
+        ];
+        Self::assemble(world, clock, caches)
+    }
+
+    /// The four fronts over `world`, each serving through its cache
+    /// (dissenter, gab, reddit, youtube), with the production limiters
+    /// reading `clock`.
+    fn assemble(
+        world: Arc<World>,
+        clock: Clock,
+        [dissenter, gab, reddit, youtube]: [cache::FrontCache; 4],
+    ) -> Self {
         Self {
-            dissenter: Arc::new(dissenter::DissenterFront::with_clock(
+            dissenter: Arc::new(dissenter::DissenterFront::with_parts(
                 world.clone(),
-                front_cache(stamps::dissenter_stamps(world.clone())),
-                platform::RateLimiter::dissenter_per_url(),
+                dissenter,
+                RateLimiter::dissenter_per_url(),
                 clock.clone(),
             )),
-            gab: Arc::new(gab::GabFront::with_clock(
+            gab: Arc::new(gab::GabFront::with_parts(
                 world.clone(),
-                front_cache(stamps::gab_stamps(world.clone())),
-                gab::RATE_LIMIT,
-                300,
-                clock,
+                gab,
+                RateLimiter::new(gab::RATE_LIMIT, gab::RATE_WINDOW_SECS),
+                clock.clone(),
             )),
-            reddit: Arc::new(reddit::RedditFront::with_cache(
-                world.clone(),
-                front_cache(stamps::reddit_stamps(world.clone())),
-            )),
-            youtube: Arc::new(youtube::YouTubeFront::with_cache(
-                world.clone(),
-                front_cache(stamps::youtube_stamps(world)),
-            )),
+            reddit: Arc::new(reddit::RedditFront::with_cache(world.clone(), reddit)),
+            youtube: Arc::new(youtube::YouTubeFront::with_cache(world, youtube)),
+            clock,
         }
     }
 }
@@ -161,16 +178,30 @@ pub struct SimServices {
     pub reddit: Server,
     /// Selenium-rendered YouTube stand-in.
     pub youtube: Server,
+    /// The clock the fronts' rate limiters read. A crawler of these
+    /// services takes a clone (`crawler.clock = services.clock.clone()`)
+    /// so the resets it waits out are on the clock they were issued on.
+    pub clock: Clock,
 }
 
 impl SimServices {
-    /// Start default fronts over a shared world, all under one config.
+    /// Start default fronts over a shared world on the wall clock, all
+    /// under one config.
     pub fn start(world: Arc<World>, config: ServerConfig) -> std::io::Result<SimServices> {
         Self::start_with(SimFronts::new(world), config)
     }
 
+    /// [`SimServices::start`] on a fresh simulated clock at
+    /// [`ids::STUDY_END`], the moment the paper's dataset closes: every
+    /// reset a crawler of these services waits out advances that clock
+    /// instead of sleeping.
+    pub fn simulated(world: Arc<World>, config: ServerConfig) -> std::io::Result<SimServices> {
+        Self::start_with(SimFronts::on(world, Clock::simulated(ids::STUDY_END)), config)
+    }
+
     /// Start one server per front, each under the config the front asks
-    /// for ([`Front::server_config`] applied to `base`).
+    /// for ([`Front::server_config`] applied to `base`), on the fronts'
+    /// clock.
     pub fn start_with(fronts: SimFronts, base: ServerConfig) -> std::io::Result<SimServices> {
         fn launch<F: Front + 'static>(front: Arc<F>, base: &ServerConfig) -> std::io::Result<Server> {
             let config = front.server_config(base);
@@ -181,6 +212,7 @@ impl SimServices {
             gab: launch(fronts.gab, &base)?,
             reddit: launch(fronts.reddit, &base)?,
             youtube: launch(fronts.youtube, &base)?,
+            clock: fronts.clock,
         })
     }
 }

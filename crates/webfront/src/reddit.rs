@@ -23,12 +23,6 @@ pub struct RedditFront {
 }
 
 impl RedditFront {
-    /// Build over a shared world with a default cache.
-    pub fn new(world: Arc<World>) -> Self {
-        let stamp = world.content_hash();
-        Self::with_cache(world, FrontCache::new(stamp))
-    }
-
     /// Build with an explicit conditional-request cache.
     pub fn with_cache(world: Arc<World>, cache: FrontCache) -> Self {
         let mut router = Router::new();

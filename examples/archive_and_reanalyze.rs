@@ -24,13 +24,14 @@ fn main() {
     let baselines = world.baselines.clone();
     let world = Arc::new(world);
     let services =
-        SimServices::start(world.clone(), crawler::default_server_config()).expect("services");
+        SimServices::simulated(world.clone(), crawler::default_server_config()).expect("services");
     let mut crawler = Crawler::new(Endpoints {
         dissenter: services.dissenter.addr(),
         gab: services.gab.addr(),
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.enum_gap_tolerance = 600;
     let store = crawler.full_crawl();
     drop(services); // the services are gone; only the mirror remains

@@ -86,7 +86,8 @@ fn main() {
 
     // Over the wire, exactly as the participants would do it.
     let services =
-        SimServices::start(Arc::new(world), crawler::default_server_config()).expect("services");
+        SimServices::simulated(Arc::new(world), crawler::default_server_config())
+            .expect("services");
     let mut client = Client::builder(services.dissenter.addr()).build();
     let page = client
         .get(&webfront::dissenter::discussion_target(anchor))
@@ -117,6 +118,7 @@ fn main() {
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.enum_gap_tolerance = 600;
     let store = crawler.full_crawl();
     let candidates = analysis::covert::detect_covert_channels(

@@ -39,7 +39,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let services = SimServices::start(world.clone(), server_cfg).expect("services");
+    let services = SimServices::simulated(world.clone(), server_cfg).expect("services");
     println!(
         "services up: dissenter={} gab={} reddit={} youtube={} (faults ON)",
         services.dissenter.addr(),
@@ -54,6 +54,7 @@ fn main() {
         reddit: services.reddit.addr(),
         youtube: services.youtube.addr(),
     });
+    crawler.clock = services.clock.clone();
     crawler.config.retries = 6;
     crawler.config.backoff = Duration::from_millis(5);
     crawler.config.enum_gap_tolerance = 600;

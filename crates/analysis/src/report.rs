@@ -145,10 +145,17 @@ impl ReportOptions {
 /// Build the full report from a crawl plus the Table-3 baseline corpora.
 ///
 /// Every scoring pass is sharded onto `pool` (see [`score_texts`] for
-/// the determinism contract and the metrics exported). The Table-2
-/// share tables, per-domain medians and the language table count
-/// through [`crate::spill`] at `options.spill_budget`, adding the runs
-/// they write to the `analysis.spill.runs` counter.
+/// the determinism contract and the metrics exported); the Dissenter
+/// pass also detects each comment's language there. The Table-2 share
+/// tables, per-domain medians and the language table count through
+/// [`crate::spill`] at `options.spill_budget`, adding the runs they
+/// write to the `analysis.spill.runs` counter. The per-author comment
+/// index and the per-user comment counts are built once and shared by
+/// the tables that read them.
+///
+/// Each table and each scoring pass runs under its own `report.<name>`
+/// span on `metrics` (the names are [`REPORT_SPANS`]); together they
+/// cover the whole build.
 pub fn build_report_pooled_opts(
     store: &CrawlStore,
     baselines: &[BaselineCorpus],
@@ -157,152 +164,223 @@ pub fn build_report_pooled_opts(
     options: &ReportOptions,
 ) -> StudyReport {
     let launch = ScorerVersion::launch(0);
-    let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
-    comment_ids.sort_unstable();
-    let comment_texts: Vec<&str> =
-        comment_ids.iter().map(|id| store.comments[id].text.as_str()).collect();
-    let dissenter_scored = score_texts(&comment_texts, &launch, pool, metrics);
-    let dissenter_scores: Vec<classify::PerspectiveScores> =
-        dissenter_scored.iter().map(|s| s.perspective).collect();
-    let scores: HashMap<ObjectId, CommentScores> =
-        comment_ids.iter().copied().zip(dissenter_scored).collect();
 
-    let ghosts = ghost_users(store);
-    let overview = Overview {
-        gab_accounts: store.gab_accounts.len(),
-        dissenter_users: store.dissenter_usernames.len() + ghosts.len(),
-        ghost_users: ghosts.len(),
-        active_users: store.comments_by_author().len(),
-        comments: store.comments.len(),
-        urls: store.urls.len(),
-        nsfw_comments: store.nsfw_comments().count(),
-        offensive_comments: store.offensive_comments().count(),
-        joined_by_march_2019: joined_by(store, 2019, 3),
-        shadow_validation: store.shadow_validation,
-    };
+    // Comments in id order: the store is a hash map, and this order
+    // feeds Fig. 7's push-order statistics.
+    let (scores, dissenter_scores, comment_languages) = span(metrics, "score.dissenter", || {
+        let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
+        comment_ids.sort_unstable();
+        let texts: Vec<&str> =
+            comment_ids.iter().map(|id| store.comments[id].text.as_str()).collect();
+        let scored = score_texts(&texts, &launch, true, pool, metrics);
+        let perspective: Vec<classify::PerspectiveScores> =
+            scored.scores.iter().map(|s| s.perspective).collect();
+        let scores: HashMap<ObjectId, CommentScores> =
+            comment_ids.into_iter().zip(scored.scores).collect();
+        (scores, perspective, scored.languages)
+    });
 
-    // Stores are hash maps: iterate urls by id, reddit matches by
-    // username, and scores by comment id so every derived sequence below
-    // is identical across runs — downstream order-insensitivity is then a
-    // bonus, not a load-bearing assumption of the byte-identical export
-    // contract.
-    let mut url_ids: Vec<ObjectId> = store.urls.keys().copied().collect();
-    url_ids.sort_unstable();
-    let url_strings: Vec<&str> = url_ids.iter().map(|id| store.urls[id].url.as_str()).collect();
-    let url_comment_counts: Vec<(&str, usize)> = url_ids
-        .iter()
-        .map(|id| {
-            let u = &store.urls[id];
-            (u.url.as_str(), u.declared_comment_count)
-        })
-        .collect();
-    let mut reddit_names: Vec<&str> = store.reddit.keys().map(String::as_str).collect();
-    reddit_names.sort_unstable();
-
-    // Fig. 6 / Table 3 Reddit side.
-    let dissenter_counts = crate::users::comment_counts(store);
-    let mut ratios = Vec::new();
-    let mut active_either = 0usize;
-    for name in &reddit_names {
-        let m = &store.reddit[*name];
-        let d = dissenter_counts.get(*name).copied().unwrap_or(0) as f64;
-        let r = m.total_comments as f64;
-        if d + r > 0.0 {
-            active_either += 1;
-            ratios.push(d / (d + r));
+    let (by_author, user_comment_counts) = span(metrics, "indices", || {
+        (store.comments_by_author(), crate::users::comment_counts(store))
+    });
+    let overview = span(metrics, "overview", || {
+        let ghosts = ghost_users(store).len();
+        Overview {
+            gab_accounts: store.gab_accounts.len(),
+            dissenter_users: store.dissenter_usernames.len() + ghosts,
+            ghost_users: ghosts,
+            active_users: by_author.len(),
+            comments: store.comments.len(),
+            urls: store.urls.len(),
+            nsfw_comments: store.nsfw_comments().count(),
+            offensive_comments: store.offensive_comments().count(),
+            joined_by_march_2019: joined_by(store, 2019, 3),
+            shadow_validation: store.shadow_validation,
         }
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let comment_ratio = CommentRatio {
-        matched_usernames: store.reddit.len(),
-        active_either,
-        dissenter_only: ratios.iter().filter(|&&r| r >= 1.0).count() as f64
-            / ratios.len().max(1) as f64,
-        reddit_only: ratios.iter().filter(|&&r| r <= 0.0).count() as f64
-            / ratios.len().max(1) as f64,
-        ratios,
-    };
+    });
+
+    // Fig. 6 / Table 3 Reddit side. Stores are hash maps: iterate reddit
+    // matches by username (and, below, urls by id) so every derived
+    // sequence is identical across runs — downstream order-insensitivity
+    // is then a bonus, not a load-bearing assumption of the
+    // byte-identical export contract.
+    let (reddit_names, comment_ratio) = span(metrics, "comment_ratio", || {
+        let mut reddit_names: Vec<&str> = store.reddit.keys().map(String::as_str).collect();
+        reddit_names.sort_unstable();
+        let mut ratios = Vec::new();
+        let mut active_either = 0usize;
+        for name in &reddit_names {
+            let m = &store.reddit[*name];
+            let d = user_comment_counts.get(*name).copied().unwrap_or(0) as f64;
+            let r = m.total_comments as f64;
+            if d + r > 0.0 {
+                active_either += 1;
+                ratios.push(d / (d + r));
+            }
+        }
+        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+        let ratio = CommentRatio {
+            matched_usernames: store.reddit.len(),
+            active_either,
+            dissenter_only: ratios.iter().filter(|&&r| r >= 1.0).count() as f64
+                / ratios.len().max(1) as f64,
+            reddit_only: ratios.iter().filter(|&&r| r <= 0.0).count() as f64
+                / ratios.len().max(1) as f64,
+            ratios,
+        };
+        (reddit_names, ratio)
+    });
+    let activity =
+        span(metrics, "activity", || activity_concentration(store, &user_comment_counts));
+    let social = span(metrics, "social", || {
+        analyze_social(store, &by_author, &scores, CoreCriteria::default())
+    });
+    drop((by_author, user_comment_counts));
 
     // Fig. 7: Dissenter + Reddit (crawled texts) + the two baselines.
-    let mut figure7 = vec![figure7_dataset("Dissenter", &dissenter_scores)];
-    let reddit_texts: Vec<&str> = reddit_names
-        .iter()
-        .flat_map(|name| store.reddit[*name].comments.iter().map(String::as_str))
-        .collect();
-    let reddit_scored: Vec<classify::PerspectiveScores> =
-        score_texts(&reddit_texts, &launch, pool, metrics)
+    let perspective_of = |texts: &[&str]| -> Vec<classify::PerspectiveScores> {
+        let scored = score_texts(texts, &launch, false, pool, metrics);
+        scored.scores.iter().map(|s| s.perspective).collect()
+    };
+    let (reddit_scores, reddit_row) = span(metrics, "score.reddit", || {
+        let texts: Vec<&str> = reddit_names
             .iter()
-            .map(|s| s.perspective)
+            .flat_map(|name| store.reddit[*name].comments.iter().map(String::as_str))
             .collect();
-    figure7.push(figure7_dataset("Reddit", &reddit_scored));
-    let mut table3 = vec![BaselineRow {
-        name: "Reddit".into(),
-        declared_comments: store.reddit.values().map(|m| m.total_comments).sum(),
-        scored_comments: reddit_texts.len(),
-        dissenter_users: Some(
-            store.reddit.values().filter(|m| m.total_comments > 0).count(),
-        ),
-    }];
-    for corpus in baselines {
-        let texts: Vec<&str> = corpus.comments.iter().map(String::as_str).collect();
-        let scored: Vec<classify::PerspectiveScores> =
-            score_texts(&texts, &launch, pool, metrics)
+        let row = BaselineRow {
+            name: "Reddit".into(),
+            declared_comments: store.reddit.values().map(|m| m.total_comments).sum(),
+            scored_comments: texts.len(),
+            dissenter_users: Some(
+                store.reddit.values().filter(|m| m.total_comments > 0).count(),
+            ),
+        };
+        (perspective_of(&texts), row)
+    });
+    let baseline_scores: Vec<Vec<classify::PerspectiveScores>> =
+        span(metrics, "score.baselines", || {
+            baselines
                 .iter()
-                .map(|s| s.perspective)
-                .collect();
-        figure7.push(figure7_dataset(&corpus.name, &scored));
-        table3.push(BaselineRow {
-            name: corpus.name.clone(),
-            declared_comments: corpus.comments.len() as u64,
-            scored_comments: corpus.comments.len(),
-            dissenter_users: None,
+                .map(|corpus| {
+                    let texts: Vec<&str> = corpus.comments.iter().map(String::as_str).collect();
+                    perspective_of(&texts)
+                })
+                .collect()
         });
-    }
+    let mut table3 = vec![reddit_row];
+    table3.extend(baselines.iter().map(|corpus| BaselineRow {
+        name: corpus.name.clone(),
+        declared_comments: corpus.comments.len() as u64,
+        scored_comments: corpus.comments.len(),
+        dissenter_users: None,
+    }));
+    let figure7 = span(metrics, "figure7", || {
+        let mut datasets = vec![
+            figure7_dataset("Dissenter", &dissenter_scores),
+            figure7_dataset("Reddit", &reddit_scores),
+        ];
+        datasets.extend(
+            baselines.iter().zip(&baseline_scores).map(|(c, s)| figure7_dataset(&c.name, s)),
+        );
+        datasets
+    });
 
     // Table 2 + languages: the only whole-corpus aggregations with
     // unbounded key sets, so they count through bounded spill buffers.
     // Spill-run I/O hits the temp dir only; failure there is
     // unrecoverable for the run.
     let budget = options.spill_budget;
-    let tlds = crate::spill::tld_table_spilled(url_strings.iter().copied(), 12, budget, metrics)
-        .expect("spill run I/O");
-    let domains =
+    let (url_ids, url_strings, url_census) = span(metrics, "url_census", || {
+        let mut url_ids: Vec<ObjectId> = store.urls.keys().copied().collect();
+        url_ids.sort_unstable();
+        let url_strings: Vec<&str> =
+            url_ids.iter().map(|id| store.urls[id].url.as_str()).collect();
+        let url_census = census(url_strings.iter().copied());
+        (url_ids, url_strings, url_census)
+    });
+    let tlds = span(metrics, "tlds", || {
+        crate::spill::tld_table_spilled(url_strings.iter().copied(), 12, budget, metrics)
+    })
+    .expect("spill run I/O");
+    let domains = span(metrics, "domains", || {
         crate::spill::domain_table_spilled(url_strings.iter().copied(), 12, budget, metrics)
-            .expect("spill run I/O");
-    let domain_medians = crate::spill::domain_comment_medians_spilled(
-        url_comment_counts.iter().copied(),
-        1,
-        budget,
-        metrics,
-    )
+    })
+    .expect("spill run I/O");
+    let domain_medians = span(metrics, "domain_medians", || {
+        let url_comment_counts = url_ids.iter().map(|id| {
+            let u = &store.urls[id];
+            (u.url.as_str(), u.declared_comment_count)
+        });
+        crate::spill::domain_comment_medians_spilled(url_comment_counts, 1, budget, metrics)
+    })
     .expect("spill run I/O")
     .into_iter()
     .take(12)
     .collect();
-    let languages =
-        crate::spill::language_table_spilled(store, budget, metrics).expect("spill run I/O");
+    let languages = span(metrics, "languages", || {
+        crate::spill::language_table_spilled(comment_languages, budget, metrics)
+    })
+    .expect("spill run I/O");
+
+    let gab_growth = span(metrics, "gab_growth", || gab_growth(store));
+    let table1 = span(metrics, "table1", || table1(store));
+    let youtube = span(metrics, "youtube", || youtube_breakdown(store));
+    let figure4 = span(metrics, "figure4", || figure4(store, &scores));
+    let figure5 = span(metrics, "figure5", || figure5(store, &scores));
+    let figure8 = span(metrics, "figure8", || figure8(store, &scores));
 
     StudyReport {
         overview,
-        gab_growth: gab_growth(store),
-        activity: activity_concentration(store),
-        table1: table1(store),
+        gab_growth,
+        activity,
+        table1,
         tlds,
         domains,
         domain_medians,
-        url_census: census(url_strings.iter().copied()),
-        youtube: youtube_breakdown(store),
+        url_census,
+        youtube,
         languages,
-        figure4: figure4(store, &scores),
-        figure5: figure5(store, &scores),
+        figure4,
+        figure5,
         comment_ratio,
         table3,
         figure7,
-        figure8: figure8(store, &scores),
-        social: analyze_social(store, &scores, CoreCriteria::default()),
+        figure8,
+        social,
         scores,
     }
 }
+
+/// Run `f` under the span `report.<name>` on `metrics`, if any.
+fn span<T>(metrics: Option<&obs::Registry>, name: &str, f: impl FnOnce() -> T) -> T {
+    let _span = metrics.map(|m| m.span(&format!("report.{name}")));
+    f()
+}
+
+/// The `report.<name>` spans [`build_report_pooled_opts`] records, in
+/// the order it runs them.
+pub const REPORT_SPANS: [&str; 20] = [
+    "score.dissenter",
+    "indices",
+    "overview",
+    "comment_ratio",
+    "activity",
+    "social",
+    "score.reddit",
+    "score.baselines",
+    "figure7",
+    "url_census",
+    "tlds",
+    "domains",
+    "domain_medians",
+    "languages",
+    "gab_growth",
+    "table1",
+    "youtube",
+    "figure4",
+    "figure5",
+    "figure8",
+];
 
 #[cfg(test)]
 mod tests {

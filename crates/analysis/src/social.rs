@@ -6,7 +6,7 @@
 //! observation, and the hateful core.
 
 use crate::toxicity::CommentScores;
-use crawler::store::CrawlStore;
+use crawler::store::{CrawlStore, CrawledComment};
 use graph::{extract_hateful_core, pagerank, CoreCriteria, DiGraph, HatefulCore};
 use ids::ObjectId;
 use stats::{fit_power_law, log_bins, PowerLawFit};
@@ -50,14 +50,15 @@ pub struct SocialAnalysis {
     pub pagerank: Vec<f64>,
 }
 
-/// Build the full §4.5 analysis.
+/// Build the full §4.5 analysis. `by_author` is the store's
+/// [`CrawlStore::comments_by_author`] index.
 pub fn analyze_social(
     store: &CrawlStore,
+    by_author: &HashMap<ObjectId, Vec<&CrawledComment>>,
     scores: &HashMap<ObjectId, CommentScores>,
     criteria: CoreCriteria,
 ) -> SocialAnalysis {
     // Nodes: authors with ≥1 comment or reply.
-    let by_author = store.comments_by_author();
     let mut authors: Vec<ObjectId> = by_author.keys().copied().collect();
     authors.sort();
     let index: HashMap<ObjectId, u32> =
@@ -215,7 +216,7 @@ mod tests {
     fn core_is_the_toxic_mutual_pair() {
         let (store, scores) = store_and_scores();
         let crit = CoreCriteria { min_comments: 3, min_median_toxicity: 0.3 };
-        let a = analyze_social(&store, &scores, crit);
+        let a = analyze_social(&store, &store.comments_by_author(), &scores, crit);
         assert_eq!(a.users, 4);
         assert_eq!(a.isolated, 1);
         assert_eq!(a.core.size(), 2);
@@ -225,7 +226,8 @@ mod tests {
     #[test]
     fn degree_scatter_covers_all_nodes() {
         let (store, scores) = store_and_scores();
-        let a = analyze_social(&store, &scores, CoreCriteria::default());
+        let by_author = store.comments_by_author();
+        let a = analyze_social(&store, &by_author, &scores, CoreCriteria::default());
         assert_eq!(a.degree_scatter.len(), 4);
         let max_in = a.degree_scatter.iter().map(|&(i, _)| i).max().unwrap();
         assert_eq!(max_in, 2, "author 0 has two followers");
@@ -235,14 +237,16 @@ mod tests {
     #[test]
     fn toxicity_bins_have_zero_degree_bucket() {
         let (store, scores) = store_and_scores();
-        let a = analyze_social(&store, &scores, CoreCriteria::default());
+        let by_author = store.comments_by_author();
+        let a = analyze_social(&store, &by_author, &scores, CoreCriteria::default());
         assert!(a.toxicity_by_followers.iter().any(|(b, _, _)| b.is_none()));
     }
 
     #[test]
     fn pagerank_covers_graph() {
         let (store, scores) = store_and_scores();
-        let a = analyze_social(&store, &scores, CoreCriteria::default());
+        let by_author = store.comments_by_author();
+        let a = analyze_social(&store, &by_author, &scores, CoreCriteria::default());
         assert_eq!(a.pagerank.len(), 4);
         assert!((a.pagerank.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }

@@ -428,20 +428,21 @@ pub fn domain_comment_medians_spilled<'a>(
     Ok(rows)
 }
 
-/// [`crate::content::language_table`] with spill runs: comment texts
-/// stream through language detection into the external counter keyed by
-/// ISO code, and rows come back in the same `count desc, code asc`
-/// order. Arrival order does not matter: resident maps are ordered, so
-/// every spill run is sorted, and totals merge associatively.
+/// [`crate::content::language_table`] with spill runs, from each
+/// comment's detected language (the report detects them on its scoring
+/// shards): the languages stream into the external counter keyed by ISO
+/// code, and rows come back in the same `count desc, code asc` order.
+/// Arrival order does not matter: resident maps are ordered, so every
+/// spill run is sorted, and totals merge associatively.
 pub fn language_table_spilled(
-    store: &crawler::store::CrawlStore,
+    languages: impl IntoIterator<Item = textkit::langid::Lang>,
     budget: usize,
     metrics: Option<&obs::Registry>,
 ) -> io::Result<Vec<(textkit::langid::Lang, usize, f64)>> {
     use textkit::langid::Lang;
     let mut counter = ExternalCounter::new(budget);
-    for c in store.comments.values() {
-        counter.add(textkit::detect(&c.text).code())?;
+    for lang in languages {
+        counter.add(lang.code())?;
     }
     counter.count_runs(metrics);
     let total = counter.total() as usize;

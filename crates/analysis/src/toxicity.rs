@@ -7,11 +7,13 @@
 
 use crate::allsides::{bias_of_domain, Bias};
 use crate::url::ParsedUrl;
-use classify::{HateDictionary, PerspectiveModel, PerspectiveScores, ScorerVersion};
+use classify::{PerspectiveModel, PerspectiveScores, ScorerVersion, StemmedTokens};
 use crawler::store::{CrawlStore, ShadowLabel};
 use ids::ObjectId;
 use stats::{ks_two_sample_sketch, EcdfSketch, KsResult};
 use std::collections::HashMap;
+use std::sync::Arc;
+use textkit::Lang;
 
 /// Scores for one comment.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,6 +24,16 @@ pub struct CommentScores {
     pub dictionary: f64,
 }
 
+/// The output of one [`score_texts`] pass, in text order.
+#[derive(Debug, Clone, Default)]
+pub struct ScoredTexts {
+    /// The §3.5 scores of each text.
+    pub scores: Vec<CommentScores>,
+    /// The §4.2.3 language of each text; empty unless the pass was asked
+    /// to detect languages.
+    pub languages: Vec<Lang>,
+}
+
 /// Score a batch of texts under `version` on a shared
 /// [`httpnet::ThreadPool`], split into fixed-size index-ordered shards
 /// and merged in shard order — byte-identical output for any pool size
@@ -30,55 +42,83 @@ pub struct CommentScores {
 /// longitudinal analysis passes drifted revisions to reproduce
 /// mid-study scorer retraining.
 ///
-/// Exports per-scorer throughput to `metrics`:
-/// `classify.<scorer>.comments` counters (text counts, deterministic),
-/// `classify.<scorer>.busy` histograms (per-shard scorer busy time),
-/// `classify.<scorer>.comments_per_sec` gauges (per-core rate: comments
-/// over summed cross-shard busy time), plus `shard.classify.score.*`
-/// shard execution metrics (deterministic `jobs`/`items` counts,
-/// wall-clock `busy`/`gather` histograms).
+/// Each text is tokenized and stemmed once ([`StemmedTokens`]); the
+/// dictionary ratio and the Perspective features both read that pass.
+/// With `detect_languages`, the shards also run [`textkit::detect`] on
+/// every text. The versioned model is built once and shared by every
+/// shard.
+///
+/// Exports to `metrics`: `classify.<scorer>.comments` counters for
+/// `dictionary` and `perspective` (text counts, deterministic);
+/// per-pass busy-time histograms summed over shards —
+/// `classify.tokens.busy` (the shared tokenize-and-stem pass),
+/// `classify.dictionary.busy` (lexicon lookups and the ratio),
+/// `classify.perspective.busy` (feature counts and the four models) and,
+/// when detecting, `classify.langid.busy`;
+/// `classify.<scorer>.comments_per_sec` gauges (comments over the
+/// scorer's own summed busy time, the shared token pass excluded); plus
+/// `shard.classify.score.*` shard execution metrics (deterministic
+/// `jobs`/`items` counts, wall-clock `busy`/`gather` histograms).
 pub fn score_texts(
     texts: &[&str],
     version: &ScorerVersion,
+    detect_languages: bool,
     pool: &httpnet::ThreadPool,
     metrics: Option<&obs::Registry>,
-) -> Vec<CommentScores> {
+) -> ScoredTexts {
     use std::time::{Duration, Instant};
-    let version = *version;
+    let model = Arc::new(PerspectiveModel::versioned(version));
     let bounds = classify::shard::shard_bounds(texts.len(), classify::shard::DEFAULT_SHARD_SIZE);
-    // (scores, perspective busy, dictionary busy) per shard.
     let jobs: Vec<_> = bounds
         .iter()
         .map(|r| {
             let shard: Vec<String> = texts[r.clone()].iter().map(|t| (*t).to_owned()).collect();
+            let model = Arc::clone(&model);
             move || {
-                let model = PerspectiveModel::versioned(&version);
-                let dict = HateDictionary::standard();
-                let mut persp_busy = Duration::ZERO;
-                let mut dict_busy = Duration::ZERO;
-                let scores = shard
-                    .iter()
-                    .map(|t| {
-                        let t0 = Instant::now();
-                        let perspective = model.score(t);
-                        let t1 = Instant::now();
-                        let dictionary = dict.score(t);
-                        persp_busy += t1 - t0;
-                        dict_busy += t1.elapsed();
-                        CommentScores { perspective, dictionary }
-                    })
-                    .collect::<Vec<_>>();
-                (scores, persp_busy, dict_busy)
+                let fx = model.extractor();
+                let mut busy = Busy::default();
+                let mut scores = Vec::with_capacity(shard.len());
+                let mut languages = Vec::new();
+                for t in &shard {
+                    let t0 = Instant::now();
+                    let tokens = StemmedTokens::of(t);
+                    let t1 = Instant::now();
+                    let dictionary = fx.dictionary_ratio(&tokens);
+                    let t2 = Instant::now();
+                    let perspective = model.score_features(&fx.extract_from(t, &tokens));
+                    let t3 = Instant::now();
+                    if detect_languages {
+                        languages.push(textkit::detect(t));
+                        busy.langid += t3.elapsed();
+                    }
+                    busy.tokens += t1 - t0;
+                    busy.dictionary += t2 - t1;
+                    busy.perspective += t3 - t2;
+                    scores.push(CommentScores { perspective, dictionary });
+                }
+                (scores, languages, busy)
             }
         })
         .collect();
     let out = pool.scatter_labeled("classify.score", metrics, jobs);
+    let mut scored = ScoredTexts::default();
+    let mut busy = Busy::default();
+    for (scores, languages, shard_busy) in out {
+        scored.scores.extend(scores);
+        scored.languages.extend(languages);
+        busy.tokens += shard_busy.tokens;
+        busy.dictionary += shard_busy.dictionary;
+        busy.perspective += shard_busy.perspective;
+        busy.langid += shard_busy.langid;
+    }
     if let Some(registry) = metrics {
         let n = texts.len() as u64;
         registry.add("shard.classify.score.items", n);
-        let persp_total: Duration = out.iter().map(|(_, p, _)| *p).sum();
-        let dict_total: Duration = out.iter().map(|(_, _, d)| *d).sum();
-        for (scorer, busy) in [("perspective", persp_total), ("dictionary", dict_total)] {
+        registry.observe("classify.tokens.busy", busy.tokens);
+        if detect_languages {
+            registry.observe("classify.langid.busy", busy.langid);
+        }
+        for (scorer, busy) in [("perspective", busy.perspective), ("dictionary", busy.dictionary)] {
             registry.add(&format!("classify.{scorer}.comments"), n);
             registry.observe(&format!("classify.{scorer}.busy"), busy);
             if busy > Duration::ZERO {
@@ -97,7 +137,16 @@ pub fn score_texts(
             }
         }
     }
-    out.into_iter().flat_map(|(scores, _, _)| scores).collect()
+    scored
+}
+
+/// Busy time of one scoring shard, per part of the text pass.
+#[derive(Debug, Default)]
+struct Busy {
+    tokens: std::time::Duration,
+    dictionary: std::time::Duration,
+    perspective: std::time::Duration,
+    langid: std::time::Duration,
 }
 
 /// One Figure-4 style dataset: streaming ECDF sketches of the three
@@ -274,20 +323,98 @@ pub fn figure8(store: &CrawlStore, scores: &HashMap<ObjectId, CommentScores>) ->
 mod tests {
     use super::*;
 
+    /// Texts in all five languages with second-person pronouns, URLs,
+    /// @mentions, numbers, elongations and lexicon terms.
+    fn mixed_texts() -> Vec<String> {
+        let lexicon = classify::Lexicon::standard();
+        let term = |i: usize| lexicon.term(i).to_owned();
+        let mut texts = vec![String::new(), "!!! 123 ...".to_owned()];
+        for i in 0..300 {
+            let lang = Lang::ALL[i % 5];
+            let words = textkit::langid::seed_words(lang);
+            let w = |k: usize| words[(i * 7 + k * 13) % words.len()];
+            texts.push(match i % 6 {
+                0 => format!("{} {} you {} your {}", w(0), w(1), term(i), w(2)),
+                1 => format!("@user{i} {} https://example.com/{i} {} www.x{i}.org", w(0), w(1)),
+                2 => format!("{} {i} {} 2020 {}s", w(0), term(i + 1), term(i + 2)),
+                3 => format!("sooooo {} haaaaate {}!!! YOURSELF {}", w(0), term(i), w(1)),
+                4 => format!("{} {} {} {} {}", w(0), w(1), w(2), w(3), w(4)),
+                _ => format!("U {} yours {}", term(i).to_uppercase(), w(0)),
+            });
+        }
+        texts
+    }
+
     #[test]
-    fn score_texts_parallel_matches_serial() {
-        let texts: Vec<String> = (0..100)
-            .map(|i| format!("comment number {i} about the news and the media today"))
-            .collect();
+    fn score_texts_identical_at_any_pool_size_including_languages() {
+        let texts = mixed_texts();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let launch = ScorerVersion::launch(0);
-        let par = score_texts(&refs, &launch, &httpnet::ThreadPool::new(4, 8), None);
-        let ser = score_texts(&refs, &launch, &httpnet::ThreadPool::new(1, 2), None);
-        assert_eq!(par.len(), ser.len());
-        for (a, b) in par.iter().zip(&ser) {
-            assert_eq!(a.perspective.severe_toxicity, b.perspective.severe_toxicity);
-            assert_eq!(a.dictionary, b.dictionary);
+        let serial = score_texts(&refs, &launch, true, &httpnet::ThreadPool::new(1, 2), None);
+        assert_eq!(serial.scores.len(), texts.len());
+        assert_eq!(serial.languages.len(), texts.len());
+        let detected: Vec<Lang> = refs.iter().map(|t| textkit::detect(t)).collect();
+        assert_eq!(serial.languages, detected);
+        let bits = |s: &ScoredTexts| -> Vec<[u64; 5]> {
+            s.scores
+                .iter()
+                .map(|c| {
+                    let p = &c.perspective;
+                    [
+                        p.severe_toxicity,
+                        p.likely_to_reject,
+                        p.obscene,
+                        p.attack_on_author,
+                        c.dictionary,
+                    ]
+                    .map(f64::to_bits)
+                })
+                .collect()
+        };
+        for workers in [2, 8] {
+            let pool = httpnet::ThreadPool::new(workers, workers * 2);
+            let par = score_texts(&refs, &launch, true, &pool, None);
+            assert_eq!(bits(&par), bits(&serial), "workers={workers}");
+            assert_eq!(par.languages, serial.languages, "workers={workers}");
         }
+        let pool = httpnet::ThreadPool::new(2, 4);
+        let without = score_texts(&refs, &launch, false, &pool, None);
+        assert!(without.languages.is_empty());
+        assert_eq!(bits(&without), bits(&serial));
+    }
+
+    #[test]
+    fn shared_pass_scores_like_the_standalone_scorers() {
+        let texts = mixed_texts();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let pool = httpnet::ThreadPool::new(2, 4);
+        let scored = score_texts(&refs, &ScorerVersion::launch(0), false, &pool, None);
+        let dict = classify::HateDictionary::standard();
+        let model = PerspectiveModel::standard();
+        for (t, s) in refs.iter().zip(&scored.scores) {
+            assert_eq!(s.dictionary.to_bits(), dict.score(t).to_bits(), "text {t:?}");
+            assert_eq!(s.perspective, model.score(t), "text {t:?}");
+        }
+        assert!(scored.scores.iter().any(|s| s.dictionary > 0.0));
+    }
+
+    #[test]
+    fn busy_time_is_charged_per_part_of_the_pass() {
+        let texts = mixed_texts();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let pool = httpnet::ThreadPool::new(2, 4);
+        let registry = obs::Registry::new();
+        score_texts(&refs, &ScorerVersion::launch(0), true, &pool, Some(&registry));
+        let snap = registry.snapshot();
+        for part in ["tokens", "dictionary", "perspective", "langid"] {
+            let h = snap.histogram(&format!("classify.{part}.busy")).expect(part);
+            assert_eq!(h.count, 1, "{part}: one observation per pass");
+        }
+        for scorer in ["dictionary", "perspective"] {
+            let n = snap.counter(&format!("classify.{scorer}.comments"));
+            assert_eq!(n, Some(texts.len() as u64), "{scorer}");
+        }
+        assert_eq!(snap.counter("classify.tokens.comments"), None, "not a scorer");
     }
 
     #[test]
@@ -305,7 +432,8 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         let pool = httpnet::ThreadPool::new(4, 8);
-        assert!(score_texts(&[], &ScorerVersion::launch(0), &pool, None).is_empty());
+        let scored = score_texts(&[], &ScorerVersion::launch(0), true, &pool, None);
+        assert!(scored.scores.is_empty() && scored.languages.is_empty());
         let d = figure7_dataset("Empty", &[]);
         assert_eq!(d.n, 0);
     }

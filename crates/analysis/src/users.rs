@@ -78,9 +78,13 @@ pub struct ActivityConcentration {
     pub total_users: usize,
 }
 
-/// Compute Fig. 3.
-pub fn activity_concentration(store: &CrawlStore) -> ActivityConcentration {
-    let counts: Vec<u64> = comment_counts(store).into_values().collect();
+/// Compute Fig. 3 from the per-user comment counts of
+/// [`comment_counts`].
+pub fn activity_concentration(
+    store: &CrawlStore,
+    comment_counts: &HashMap<String, u64>,
+) -> ActivityConcentration {
+    let counts: Vec<u64> = comment_counts.values().copied().collect();
     ActivityConcentration {
         curve: stats::ecdf::concentration_curve(&counts, 100),
         user_fraction_for_90pct: stats::ecdf::fraction_for_share(&counts, 0.9),
@@ -217,7 +221,7 @@ mod tests {
     #[test]
     fn concentration_identifies_whale() {
         let store = store_with_users();
-        let a = activity_concentration(&store);
+        let a = activity_concentration(&store, &comment_counts(&store));
         assert_eq!(a.active_users, 3);
         // Alice (1/3 of users) produces 80% — 90% needs 2/3 of users.
         assert!((a.user_fraction_for_90pct - 2.0 / 3.0).abs() < 1e-9);

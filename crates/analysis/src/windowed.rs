@@ -157,7 +157,7 @@ pub fn window_toxicity(
 ) -> WindowToxicity {
     let ids = window_comment_ids(store, window);
     let texts: Vec<&str> = ids.iter().map(|id| store.comments[id].text.as_str()).collect();
-    let scores = score_texts(&texts, version, pool, metrics);
+    let scores = score_texts(&texts, version, false, pool, metrics).scores;
     let n = scores.len();
     let (mut severe, mut reject, mut attack) = (0.0f64, 0.0f64, 0.0f64);
     for s in &scores {
@@ -271,8 +271,8 @@ pub fn drift_report(
             });
             continue;
         }
-        let old = score_texts(&texts, prev, pool, metrics);
-        let new = score_texts(&texts, cur, pool, metrics);
+        let old = score_texts(&texts, prev, false, pool, metrics).scores;
+        let new = score_texts(&texts, cur, false, pool, metrics).scores;
         let n = texts.len();
         let (mut dsev, mut drej, mut dmax) = (0.0f64, 0.0f64, 0.0f64);
         for (o, s) in old.iter().zip(&new) {

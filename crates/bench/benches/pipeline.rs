@@ -15,7 +15,8 @@ fn bench_artifacts(c: &mut Criterion) {
 
     // E2 / Fig. 3.
     g.bench_function("fig3_activity_concentration", |b| {
-        b.iter(|| black_box(analysis::users::activity_concentration(store)));
+        let counts = analysis::users::comment_counts(store);
+        b.iter(|| black_box(analysis::users::activity_concentration(store, &counts)));
     });
     // E1 / Fig. 2.
     g.bench_function("fig2_gab_growth", |b| {
@@ -40,7 +41,9 @@ fn bench_artifacts(c: &mut Criterion) {
         let pool = httpnet::ThreadPool::new(8, 16);
         let texts: Vec<&str> = store.comments.values().map(|c| c.text.as_str()).collect();
         let launch = classify::ScorerVersion::launch(0);
-        b.iter(|| black_box(analysis::toxicity::score_texts(&texts, &launch, &pool, None)));
+        b.iter(|| {
+            black_box(analysis::toxicity::score_texts(&texts, &launch, true, &pool, None))
+        });
     });
     // E7 / Fig. 4 + E11 / Fig. 8 from cached scores.
     g.bench_function("fig4_fig8_aggregation", |b| {
@@ -53,9 +56,11 @@ fn bench_artifacts(c: &mut Criterion) {
     });
     // E12 / Fig. 9.
     g.bench_function("fig9_social_analysis", |b| {
+        let by_author = store.comments_by_author();
         b.iter(|| {
             black_box(analysis::social::analyze_social(
                 store,
+                &by_author,
                 &study.report.scores,
                 graph::CoreCriteria::default(),
             ))

@@ -1,9 +1,10 @@
 //! `study` suite: run one fixed-seed study serially (`workers = 1`) and
 //! sharded (`--workers N`, default 8), prove the deterministic report
 //! renders byte-identical, and report the sharded run's
-//! [`RunStats`](dissenter_core::RunStats) — stage wall-clocks, per-phase
-//! crawl coverage, per-scorer throughput, shard accounting and the full
-//! metric snapshot — as the suite's metrics.
+//! [`RunStats`](dissenter_core::RunStats) — stage wall-clocks, the report
+//! stage's per-table and per-scorer spans, per-phase crawl coverage,
+//! per-scorer throughput, shard accounting and the full metric snapshot
+//! — as the suite's metrics.
 //!
 //! Counters (and the phase/scorer comment counts) replay identically for
 //! the same seed; stage wall-clocks, rates and latency quantiles are
@@ -22,6 +23,10 @@ pub const FLAGS: &[&str] =
 
 /// The sharded run must beat the serial one by this much on ≥ 4 CPUs.
 const REQUIRED_SPEEDUP: f64 = 1.5;
+
+/// Largest relative gap between the summed `report.<name>` spans and the
+/// report stage's wall.
+const REPORT_SPAN_GAP: f64 = 0.05;
 
 pub fn run(args: &Args) -> Result<BenchReport, String> {
     let workers: usize = args.get("--workers", 8)?;
@@ -106,6 +111,10 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
             )
         }),
     );
+    report.metric(
+        "report_spans_us",
+        rs.report_spans.iter().fold(Value::object(), |o, st| o.with(&st.name, st.wall_us)),
+    );
     report.metric("peak_rss_bytes", rs.peak_rss_bytes);
     report.metric(
         "snapshot",
@@ -120,6 +129,12 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
         let reason = format!("{} cpu(s) < 4: a wall-clock ratio is noise", report.cpus);
         report.refuse("speedup", Op::Ge, REQUIRED_SPEEDUP, &reason);
     }
+    // The per-table and per-scorer spans must account for the report
+    // stage: their sum within 5% of its wall.
+    let report_us = rs.stages.iter().find(|s| s.name == "report").map(|s| s.wall_us as f64);
+    let spans_us: u64 = rs.report_spans.iter().map(|s| s.wall_us).sum();
+    let span_gap = report_us.filter(|&w| w > 0.0).map(|w| (1.0 - spans_us as f64 / w).abs());
+    report.gate("report_span_gap", span_gap, Op::Le, REPORT_SPAN_GAP);
     report.gate("shards", rs.shards.len() as f64, Op::Ge, 1.0);
     report.gate("phases", rs.phases.len() as f64, Op::Ge, 1.0);
     let unbalanced =

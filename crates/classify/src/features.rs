@@ -7,7 +7,7 @@
 
 use crate::lexicon::Lexicon;
 use std::collections::HashSet;
-use textkit::{porter_stem, tokenize};
+use textkit::{porter_stem, tokenize, WordSet};
 
 /// Mild insult markers (real words — intentionally ordinary ones) feeding
 /// the `ATTACK_ON_AUTHOR` and `LIKELY_TO_REJECT` models.
@@ -69,10 +69,10 @@ pub struct TextFeatures {
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     hate: Lexicon,
-    obscene: HashSet<String>,
-    insults: HashSet<String>,
-    author: HashSet<String>,
-    second: HashSet<String>,
+    obscene: WordSet,
+    insults: WordSet,
+    author: WordSet,
+    second: WordSet,
 }
 
 impl FeatureExtractor {
@@ -83,7 +83,7 @@ impl FeatureExtractor {
 
     /// Extractor with a custom hate lexicon.
     pub fn new(hate: Lexicon) -> Self {
-        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<HashSet<_>>();
+        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<WordSet>();
         Self {
             hate,
             obscene: obscene_markers().iter().map(|w| porter_stem(w)).collect(),
@@ -100,8 +100,14 @@ impl FeatureExtractor {
 
     /// Compute features for raw comment text.
     pub fn extract(&self, text: &str) -> TextFeatures {
-        let raw_tokens = tokenize(text);
-        let n = raw_tokens.len();
+        self.extract_from(text, &StemmedTokens::of(text))
+    }
+
+    /// Compute features for `text` from its token pass `tokens`.
+    /// Second-person tokens count only toward `second_person_ratio`; the
+    /// marker channels match the stems of every other token.
+    pub fn extract_from(&self, text: &str, tokens: &StemmedTokens) -> TextFeatures {
+        let n = tokens.len();
         if n == 0 {
             return TextFeatures::default();
         }
@@ -110,38 +116,84 @@ impl FeatureExtractor {
         let mut insult = 0usize;
         let mut author = 0usize;
         let mut second = 0usize;
-        for t in &raw_tokens {
+        for (t, s) in tokens.tokens.iter().zip(&tokens.stems) {
             if self.second.contains(t.as_str()) {
                 second += 1;
                 continue;
             }
-            let s = porter_stem(t);
-            if self.hate.contains_stemmed(&s) {
+            if self.hate.contains_stemmed(s) {
                 hate += 1;
             }
-            if self.obscene.contains(&s) {
+            if self.obscene.contains(s) {
                 obscene += 1;
             }
-            if self.insults.contains(&s) {
+            if self.insults.contains(s) {
                 insult += 1;
             }
-            if self.author.contains(&s) {
+            if self.author.contains(s) {
                 author += 1;
             }
         }
-        let chars = text.chars().count().max(1);
-        let letters = text.chars().filter(|c| c.is_alphabetic()).count();
-        let uppers = text.chars().filter(|c| c.is_uppercase()).count();
+        let (mut chars, mut letters, mut uppers, mut bangs) = (0usize, 0usize, 0usize, 0usize);
+        for c in text.chars() {
+            chars += 1;
+            letters += c.is_alphabetic() as usize;
+            uppers += c.is_uppercase() as usize;
+            bangs += (c == '!') as usize;
+        }
+        let chars = chars.max(1);
         TextFeatures {
             hate_ratio: hate as f64 / n as f64,
             obscene_ratio: obscene as f64 / n as f64,
             insult_ratio: insult as f64 / n as f64,
             author_ratio: author as f64 / n as f64,
             second_person_ratio: second as f64 / n as f64,
-            exclaim_density: (text.matches('!').count() as f64 / chars as f64).min(1.0),
+            exclaim_density: (bangs as f64 / chars as f64).min(1.0),
             caps_ratio: if letters > 0 { uppers as f64 / letters as f64 } else { 0.0 },
             tokens: n,
         }
+    }
+
+    /// The §3.5.1 dictionary ratio from a token pass: hate-lexicon hits
+    /// over *every* stemmed token, second-person ones included — what
+    /// [`crate::HateDictionary::score`] computes over this lexicon,
+    /// unlike `hate_ratio`, which skips second-person tokens.
+    pub fn dictionary_ratio(&self, tokens: &StemmedTokens) -> f64 {
+        if tokens.is_empty() {
+            return 0.0;
+        }
+        let hits = tokens.stems.iter().filter(|s| self.hate.contains_stemmed(s)).count();
+        hits as f64 / tokens.len() as f64
+    }
+}
+
+/// One comment's tokens and their Porter stems: the single text pass
+/// that both lexical scorers (the dictionary ratio and the
+/// Perspective-style features) read.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StemmedTokens {
+    /// Lowercase word tokens, as [`textkit::tokenize`] splits them.
+    pub tokens: Vec<String>,
+    /// The Porter stem of each token, in the same order.
+    pub stems: Vec<String>,
+}
+
+impl StemmedTokens {
+    /// Tokenize `text` once and stem every token once.
+    pub fn of(text: &str) -> Self {
+        let tokens = tokenize(text);
+        let stems = tokens.iter().map(|t| porter_stem(t)).collect();
+        Self { tokens, stems }
+    }
+
+    /// Token count.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Whether the text had no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
     }
 }
 
@@ -199,6 +251,34 @@ mod tests {
         for m in &a {
             assert!(!lex.matches_token(m), "obscene marker {m} collides with hate lexicon");
         }
+    }
+
+    #[test]
+    fn dictionary_ratio_matches_the_dictionary_scorer_bit_for_bit() {
+        let fx = FeatureExtractor::standard();
+        let dict = crate::HateDictionary::standard();
+        let t = |i: usize| fx.lexicon().term(i).to_owned();
+        let texts = [
+            String::new(),
+            "!!! ... 123".to_owned(),
+            format!("you {} you your yours yourself u", t(1)),
+            format!("@{} {} https://x.example/{} www.{}.com {}", t(2), t(2), t(3), t(3), t(4)),
+            format!("{}s 10 {} 2020 {}ing", t(5), t(6), t(7)),
+            format!("{} sooooo haaaaate {}!!! YOU {}", t(8), t(9), t(10).to_uppercase()),
+            "a perfectly pleasant remark, don't 'quote' me".to_owned(),
+        ];
+        for text in &texts {
+            let ratio = fx.dictionary_ratio(&StemmedTokens::of(text));
+            assert_eq!(ratio.to_bits(), dict.score(text).to_bits(), "text {text:?}");
+            assert_eq!(fx.extract(text), fx.extract_from(text, &StemmedTokens::of(text)));
+        }
+        // Second-person tokens count in both denominators; the feature
+        // channels skip their stems.
+        let text = format!("you {}", t(11));
+        let tokens = StemmedTokens::of(&text);
+        assert_eq!(fx.dictionary_ratio(&tokens), 0.5);
+        assert_eq!(fx.extract_from(&text, &tokens).hate_ratio, 0.5);
+        assert_eq!(fx.extract_from(&text, &tokens).second_person_ratio, 0.5);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod shard;
 pub mod svm;
 
 pub use dictionary::HateDictionary;
+pub use features::StemmedTokens;
 pub use metrics::Confusion;
 pub use lexicon::Lexicon;
 pub use perspective::{PerspectiveModel, PerspectiveScores, ScorerVersion};

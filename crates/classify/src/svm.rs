@@ -15,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use textkit::{clean_text, porter_stem, word_ngrams_up_to};
+use textkit::{clean_text, porter_stem};
 
 /// A sparse feature vector: `(index, value)` pairs sorted by index.
 pub type SparseVec = Vec<(u32, f32)>;
@@ -128,10 +128,19 @@ impl Featurizer {
     }
 
     /// Map a comment to a normalized sparse vector.
+    ///
+    /// Each 1-gram `a` hashes as FNV-1a over its bytes and each 2-gram as
+    /// FNV-1a streamed over `a`, `b' '` and `b` — the hash of the joined
+    /// `"a b"` — so no n-gram string is built.
     pub fn featurize(&self, text: &str) -> SparseVec {
         let tokens: Vec<String> = clean_text(text).iter().map(|t| porter_stem(t)).collect();
-        let grams = word_ngrams_up_to(&tokens, 2);
-        let mut idx: Vec<u32> = grams.iter().map(|g| fnv1a(g) % self.dim).collect();
+        let unigrams: Vec<u32> = tokens.iter().map(|t| fnv1a_extend(FNV_OFFSET, t)).collect();
+        let bigrams = unigrams
+            .iter()
+            .zip(tokens.iter().skip(1))
+            .map(|(&a, b)| fnv1a_extend(fnv1a_extend(a, " "), b));
+        let mut idx: Vec<u32> =
+            unigrams.iter().copied().chain(bigrams).map(|h| h % self.dim).collect();
         idx.sort_unstable();
         let mut vec = SparseVec::new();
         for i in idx {
@@ -151,8 +160,11 @@ impl Featurizer {
     }
 }
 
-fn fnv1a(s: &str) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
+/// FNV-1a offset basis: the hash of the empty string.
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+
+/// Continue the FNV-1a hash `h` over the bytes of `s`.
+fn fnv1a_extend(mut h: u32, s: &str) -> u32 {
     for b in s.as_bytes() {
         h ^= *b as u32;
         h = h.wrapping_mul(0x0100_0193);
@@ -206,28 +218,39 @@ impl LinearSvm {
 
     /// Hard prediction: argmax margin.
     pub fn predict(&self, x: &SparseVec) -> usize {
-        let m = self.margins(x);
-        m.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite margins"))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        argmax(&self.margins(x))
     }
 
     /// Softmax over margins — the per-class probabilities the paper
     /// computes for every comment.
     pub fn probabilities(&self, x: &SparseVec) -> Vec<f64> {
-        let m = self.margins(x);
-        let mx = m.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = m.iter().map(|v| (v - mx).exp()).collect();
-        let z: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / z).collect()
+        softmax(&self.margins(x))
     }
 
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
     }
+}
+
+/// Index of the largest margin ([`LinearSvm::predict`] from margins
+/// computed once).
+pub fn argmax(margins: &[f64]) -> usize {
+    margins
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite margins"))
+        .map(|(i, _)| i)
+        .expect("at least one class")
+}
+
+/// Softmax over margins ([`LinearSvm::probabilities`] from margins
+/// computed once).
+pub fn softmax(margins: &[f64]) -> Vec<f64> {
+    let mx = margins.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = margins.iter().map(|v| (v - mx).exp()).collect();
+    let z: f64 = exps.iter().sum();
+    exps.into_iter().map(|e| e / z).collect()
 }
 
 /// Pegasos for one binary (class vs rest) problem, with the scale-factor
@@ -313,6 +336,77 @@ mod tests {
         // One unigram repeated + bigrams; unigram weight must dominate.
         let max = v.iter().map(|&(_, x)| x).fold(0f32, f32::max);
         assert!(max > 0.7, "{v:?}");
+    }
+
+    #[test]
+    fn streamed_ngram_hashes_equal_hashes_of_the_joined_ngrams() {
+        fn fnv1a(s: &str) -> u32 {
+            let mut h: u32 = 0x811c_9dc5;
+            for b in s.as_bytes() {
+                h ^= *b as u32;
+                h = h.wrapping_mul(0x0100_0193);
+            }
+            h
+        }
+        // The featurizer as it was: the joined 1- and 2-gram strings, each
+        // hashed whole.
+        let joined = |f: &Featurizer, text: &str| -> SparseVec {
+            let tokens: Vec<String> = clean_text(text).iter().map(|t| porter_stem(t)).collect();
+            let bigrams = tokens.windows(2).map(|w| w.join(" "));
+            let grams: Vec<String> = tokens.iter().cloned().chain(bigrams).collect();
+            let mut idx: Vec<u32> = grams.iter().map(|g| fnv1a(g) % f.dim).collect();
+            idx.sort_unstable();
+            let mut vec = SparseVec::new();
+            for i in idx {
+                match vec.last_mut() {
+                    Some(last) if last.0 == i => last.1 += 1.0,
+                    _ => vec.push((i, 1.0)),
+                }
+            }
+            let n = norm(&vec);
+            if n > 0.0 {
+                for (_, v) in &mut vec {
+                    *v /= n as f32;
+                }
+            }
+            vec
+        };
+        let lexicon = crate::Lexicon::standard();
+        let mut words: Vec<String> = textkit::langid::seed_words(textkit::Lang::En)
+            .iter()
+            .chain(textkit::langid::seed_words(textkit::Lang::De))
+            .map(|w| w.to_string())
+            .collect();
+        words.extend(lexicon.terms().iter().take(50).cloned());
+        let odd = ["sooooo", "HAAAATE", "42", "@someone", "https://x.example/a", "don't"];
+        words.extend(odd.map(String::from));
+        let mut rng = StdRng::seed_from_u64(11);
+        for f in [Featurizer::standard(), Featurizer { dim: 1 << 10 }] {
+            for len in 0..40 {
+                let text: Vec<&str> =
+                    (0..len).map(|_| words.choose(&mut rng).expect("words").as_str()).collect();
+                let text = text.join(if len % 3 == 0 { ", " } else { " " });
+                assert_eq!(f.featurize(&text), joined(&f, &text), "text {text:?}");
+            }
+        }
+        for (a, b) in [("", ""), ("free", "speech"), ("\u{fc}ber", "stra\u{df}e")] {
+            let streamed = fnv1a_extend(fnv1a_extend(fnv1a_extend(FNV_OFFSET, a), " "), b);
+            assert_eq!(streamed, fnv1a(&format!("{a} {b}")));
+            assert_eq!(fnv1a_extend(FNV_OFFSET, a), fnv1a(a));
+        }
+    }
+
+    #[test]
+    fn margins_once_give_predict_and_probabilities() {
+        let samples: Vec<(SparseVec, usize)> = (0..60)
+            .map(|i| (fv(&[((i % 3) as u32 * 10, 1.0), (7, 0.5)]), i % 3))
+            .collect();
+        let m = LinearSvm::train(&samples, 3, SvmConfig { dim: 64, ..SvmConfig::default() });
+        for (x, _) in &samples {
+            let margins = m.margins(x);
+            assert_eq!(argmax(&margins), m.predict(x));
+            assert_eq!(softmax(&margins), m.probabilities(x));
+        }
     }
 
     /// Two-cluster toy problem: class 0 uses features {0,1}, class 1 uses

@@ -476,6 +476,14 @@ mod tests {
         assert_eq!(stages, vec!["synth", "serve", "crawl", "report", "svm"]);
         assert!(rs.stages.iter().all(|s| s.wall_us > 0), "stages take nonzero time: {rs:?}");
 
+        // Every table and scoring pass of the report ran under its own
+        // span; the spans are disjoint parts of the report stage.
+        let parts: Vec<&str> = rs.report_spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(parts, analysis::report::REPORT_SPANS);
+        let report_us = rs.stages.iter().find(|s| s.name == "report").map(|s| s.wall_us);
+        let parts_us: u64 = rs.report_spans.iter().map(|s| s.wall_us).sum();
+        assert!(Some(parts_us) <= report_us, "{parts_us} µs of parts in {report_us:?} µs");
+
         // Every crawl phase did work and balanced its books.
         assert_eq!(rs.phases.len(), 7);
         for p in &rs.phases {

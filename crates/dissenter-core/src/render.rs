@@ -398,6 +398,10 @@ pub fn runstats(study: &Study) -> String {
     for st in &rs.stages {
         let _ = writeln!(s, "  {:<10} {:>10.1} ms", st.name, st.wall_us as f64 / 1e3);
     }
+    let _ = writeln!(s, "-- report stage by table and scoring pass --");
+    for st in &rs.report_spans {
+        let _ = writeln!(s, "  {:<16} {:>10.1} ms", st.name, st.wall_us as f64 / 1e3);
+    }
     let _ = writeln!(s, "-- memory --");
     let _ = writeln!(s, "  peak RSS   {:>10.1} MiB", rs.peak_rss_bytes as f64 / (1u64 << 20) as f64);
     let _ = writeln!(s, "-- crawl coverage (attempted = succeeded + dead-lettered) --");

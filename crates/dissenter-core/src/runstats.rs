@@ -9,10 +9,12 @@
 
 use crawler::Phase;
 
-/// Wall-clock for one pipeline stage (from the `stage.<name>` span).
+/// Wall-clock for one pipeline stage (from the `stage.<name>` span) or
+/// one part of the report stage (from a `report.<name>` span).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTime {
-    /// Stage name (`synth`, `serve`, `crawl`, `report`, `svm`).
+    /// Stage name (`synth`, `serve`, `crawl`, `report`, `svm`) or report
+    /// part (`score.dissenter`, `tlds`, …).
     pub name: String,
     /// Elapsed wall-clock, microseconds.
     pub wall_us: u64,
@@ -69,6 +71,10 @@ pub struct ShardStats {
 pub struct RunStats {
     /// Pipeline stage wall-clocks, in pipeline order.
     pub stages: Vec<StageTime>,
+    /// Wall-clock of each table and scoring pass of the report stage
+    /// (from the `report.<name>` spans), in report order. Summed, they
+    /// cover the `report` stage.
+    pub report_spans: Vec<StageTime>,
     /// Per-phase crawl coverage, in pipeline order.
     pub phases: Vec<PhaseCoverage>,
     /// Per-scorer classification throughput, sorted by name.
@@ -108,6 +114,16 @@ pub fn collect(registry: &obs::Registry) -> RunStats {
             }
         }
     }
+
+    let report_spans = analysis::report::REPORT_SPANS
+        .iter()
+        .filter_map(|name| {
+            snapshot.histogram(&format!("report.{name}")).map(|h| StageTime {
+                name: (*name).to_owned(),
+                wall_us: h.sum_ns / 1_000,
+            })
+        })
+        .collect();
 
     let phases = Phase::ALL
         .iter()
@@ -159,6 +175,7 @@ pub fn collect(registry: &obs::Registry) -> RunStats {
 
     RunStats {
         stages,
+        report_spans,
         phases,
         scorers,
         shards,
@@ -179,6 +196,8 @@ mod tests {
         r.histogram("stage.report").observe(Duration::from_millis(3));
         r.histogram("stage.synth").observe(Duration::from_millis(1));
         r.histogram("stage.custom").observe(Duration::from_millis(2));
+        r.histogram("report.tlds").observe(Duration::from_millis(1));
+        r.histogram("report.score.dissenter").observe(Duration::from_millis(2));
         r.add("crawl.probe.attempted", 10);
         r.add("crawl.probe.succeeded", 9);
         r.add("crawl.probe.dead_lettered", 1);
@@ -192,6 +211,9 @@ mod tests {
         let rs = collect(&r);
         let names: Vec<&str> = rs.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["synth", "report", "custom"], "pipeline order, extras last");
+        let spans: Vec<(&str, u64)> =
+            rs.report_spans.iter().map(|s| (s.name.as_str(), s.wall_us)).collect();
+        assert_eq!(spans, vec![("score.dissenter", 2_000), ("tlds", 1_000)], "report order");
         assert_eq!(rs.phases.len(), 7, "every phase present even when idle");
         let probe = rs.phases.iter().find(|p| p.name == "probe").unwrap();
         assert_eq!(probe.attempted, probe.succeeded + probe.dead_lettered);

@@ -12,7 +12,7 @@
 use classify::adasyn::{adasyn_sharded, AdasynConfig};
 use classify::cv::{fold_assignment, run_fold, CvResult};
 use classify::shard;
-use classify::svm::{Featurizer, LinearSvm, SparseVec, SvmConfig};
+use classify::svm::{argmax, softmax, Featurizer, LinearSvm, SparseVec, SvmConfig};
 use classify::CommentClass;
 use crawler::CrawlStore;
 use std::sync::Arc;
@@ -118,23 +118,24 @@ pub fn run_svm_experiment_pooled(
     let mut items: Vec<(ids::ObjectId, String)> =
         store.comments.iter().map(|(id, c)| (*id, c.text.clone())).collect();
     items.sort_unstable_by_key(|&(id, _)| id);
-    let texts: Vec<String> = items.into_iter().map(|(_, t)| t).collect();
+    let texts: Arc<Vec<String>> = Arc::new(items.into_iter().map(|(_, t)| t).collect());
     let n = texts.len().max(1);
     let apply_jobs: Vec<_> = shard::shard_bounds(texts.len(), shard::DEFAULT_SHARD_SIZE)
         .into_iter()
         .map(|r| {
-            let chunk: Vec<String> = texts[r].to_vec();
+            let texts = Arc::clone(&texts);
             let model = Arc::clone(&model);
             move || {
                 let mut sums = [0.0f64; 3];
                 let mut counts = [0u64; 3];
-                for t in &chunk {
-                    let x = featurizer.featurize(t);
-                    let p = model.probabilities(&x);
-                    for k in 0..3 {
-                        sums[k] += p[k];
+                for t in &texts[r] {
+                    // One margin computation per comment gives both the
+                    // probabilities and the argmax class.
+                    let margins = model.margins(&featurizer.featurize(t));
+                    for (sum, p) in sums.iter_mut().zip(softmax(&margins)) {
+                        *sum += p;
                     }
-                    counts[model.predict(&x)] += 1;
+                    counts[argmax(&margins)] += 1;
                 }
                 (sums, counts)
             }

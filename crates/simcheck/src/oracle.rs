@@ -269,8 +269,9 @@ fn scale_budget_sweep(sc: &Scenario) -> Result<(), Failure> {
     if bits(&spilled) != bits(&resident) {
         return Err(diverges("per-domain median"));
     }
-    let languages = analysis::spill::language_table_spilled(store, budget, None)
-        .map_err(spill_fail)?;
+    let detected = store.comments.values().map(|c| textkit::detect(&c.text));
+    let languages =
+        analysis::spill::language_table_spilled(detected, budget, None).map_err(spill_fail)?;
     if languages != analysis::content::language_table(store) {
         return Err(diverges("language"));
     }
@@ -293,6 +294,14 @@ fn scale_budget_sweep(sc: &Scenario) -> Result<(), Failure> {
         return Err(fail(
             "scale.merge",
             format!("a {budget}-key spill budget wrote no spill run — the leg is vacuous"),
+        ));
+    }
+    // The report detects languages on its scoring shards; the in-memory
+    // table detects them one comment at a time on this thread.
+    if rebuilt.languages != analysis::content::language_table(store) {
+        return Err(fail(
+            "scale.merge",
+            "the report's language table diverges from the serial in-memory one".to_owned(),
         ));
     }
     let base = std::env::temp_dir().join(format!(

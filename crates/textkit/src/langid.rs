@@ -12,9 +12,18 @@
 //! recover the language from character statistics — there is no label
 //! smuggling, and the classifier can (and occasionally does) misclassify
 //! very short comments, just like `langid.py`.
+//!
+//! The trained model is one fused table: each trigram known to any
+//! language maps to its five log-probabilities, one per [`Lang::ALL`]
+//! entry (the shared smoothing background where a language never saw the
+//! gram). Classifying a comment pads each word into one reused buffer,
+//! looks every trigram up once as a `&str` slice of it, and adds the five
+//! log-probabilities to five running sums in text order: one hash lookup
+//! and no allocation per trigram. A gram outside the table is skipped for
+//! every language alike.
 
 use crate::ngram::char_ngrams;
-use std::collections::HashMap;
+use crate::wordhash::WordMap;
 use std::sync::OnceLock;
 
 /// Languages the identifier distinguishes — the five the paper reports,
@@ -149,16 +158,17 @@ pub fn seed_words(lang: Lang) -> &'static [&'static str] {
     }
 }
 
-/// A trained trigram naive-Bayes model.
+/// A trained trigram naive-Bayes model: one table from each trigram known
+/// to any language to its log-probability under each of [`Lang::ALL`].
 #[derive(Debug, Clone)]
 pub struct LangModel {
-    // log P(trigram | lang) tables, Laplace-smoothed.
-    tables: Vec<(Lang, HashMap<String, f64>, f64)>, // (lang, logp per gram, default logp)
-    /// Union of grams known to any language. Grams outside it (slang,
-    /// handles, the synthetic marker vocabulary) carry no language signal
-    /// and are skipped — otherwise out-of-vocabulary mass would bias
-    /// classification toward whichever language has the smallest profile.
-    known: std::collections::HashSet<String>,
+    /// `log P(gram | Lang::ALL[k])` at index `k`, interpolated with the
+    /// shared background for languages that never saw the gram. Grams
+    /// outside the table (slang, handles, the synthetic marker
+    /// vocabulary) carry no language signal and are skipped — otherwise
+    /// out-of-vocabulary mass would bias classification toward whichever
+    /// language has the smallest profile.
+    grams: WordMap<[f64; 5]>,
 }
 
 impl LangModel {
@@ -172,37 +182,33 @@ impl LangModel {
     /// smallest profile. A shared background makes "unknown here" cost the
     /// same under every language.
     pub fn train() -> Self {
-        let mut raw: Vec<(Lang, HashMap<String, u32>, u32)> = Vec::new();
-        let mut union: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for &lang in &Lang::ALL {
-            let mut counts: HashMap<String, u32> = HashMap::new();
-            let mut total = 0u32;
+        let mut counts: WordMap<[u32; 5]> = WordMap::default();
+        let mut totals = [0u32; 5];
+        for (k, &lang) in Lang::ALL.iter().enumerate() {
             for w in profile_words(lang) {
                 for g in char_ngrams(w, 3) {
-                    union.insert(g.clone());
-                    *counts.entry(g).or_insert(0) += 1;
-                    total += 1;
+                    counts.entry(g).or_default()[k] += 1;
+                    totals[k] += 1;
                 }
             }
-            raw.push((lang, counts, total));
         }
         const ALPHA: f64 = 1e-3;
-        let background = ALPHA / union.len().max(1) as f64;
-        let default = background.ln();
-        let tables = raw
+        let background = ALPHA / counts.len().max(1) as f64;
+        let unseen = background.ln();
+        let grams = counts
             .into_iter()
-            .map(|(lang, counts, total)| {
-                let logp: HashMap<String, f64> = counts
-                    .into_iter()
-                    .map(|(g, c)| {
-                        let freq = c as f64 / total.max(1) as f64;
-                        (g, ((1.0 - ALPHA) * freq + background).ln())
-                    })
-                    .collect();
-                (lang, logp, default)
+            .map(|(g, c)| {
+                let logp = std::array::from_fn(|k| {
+                    if c[k] == 0 {
+                        return unseen;
+                    }
+                    let freq = c[k] as f64 / totals[k].max(1) as f64;
+                    ((1.0 - ALPHA) * freq + background).ln()
+                });
+                (g, logp)
             })
             .collect();
-        Self { tables, known: union }
+        Self { grams }
     }
 
     /// Classify `text`. Returns `Unknown` for text with no letters.
@@ -211,28 +217,39 @@ impl LangModel {
         if !lower.chars().any(|c| c.is_alphabetic()) {
             return Lang::Unknown;
         }
-        // Score per word with the same boundary padding used in training,
-        // so grams spanning spaces never occur.
-        let words: Vec<&str> = lower
-            .split(|c: char| !c.is_alphabetic() && c != '\'')
-            .filter(|w| !w.is_empty())
-            .collect();
-        let grams: Vec<String> = words
-            .iter()
-            .flat_map(|w| char_ngrams(w, 3))
-            .filter(|g| self.known.contains(g))
-            .collect();
-        if grams.is_empty() {
+        // Score per word with the same `^word$` padding used in training,
+        // so grams spanning spaces never occur. Each trigram is a slice of
+        // one reused buffer, and every language's score is summed in text
+        // order.
+        let mut padded = String::new();
+        let mut bounds: Vec<usize> = Vec::new();
+        let mut scores = [0.0f64; 5];
+        let mut known = 0usize;
+        let words = lower.split(|c: char| !c.is_alphabetic() && c != '\'').filter(|w| !w.is_empty());
+        for word in words {
+            padded.clear();
+            padded.push('^');
+            padded.push_str(word);
+            padded.push('$');
+            bounds.clear();
+            bounds.extend(padded.char_indices().map(|(i, _)| i));
+            bounds.push(padded.len());
+            for w in bounds.windows(4) {
+                if let Some(logp) = self.grams.get(&padded[w[0]..w[3]]) {
+                    known += 1;
+                    for (score, p) in scores.iter_mut().zip(logp) {
+                        *score += p;
+                    }
+                }
+            }
+        }
+        if known == 0 {
             return Lang::Unknown;
         }
         let mut best = (Lang::Unknown, f64::NEG_INFINITY);
-        for (lang, table, default) in &self.tables {
-            let score: f64 = grams
-                .iter()
-                .map(|g| table.get(g).copied().unwrap_or(*default))
-                .sum();
+        for (&lang, &score) in Lang::ALL.iter().zip(&scores) {
             if score > best.1 {
-                best = (*lang, score);
+                best = (lang, score);
             }
         }
         best.0
@@ -249,6 +266,7 @@ pub fn detect(text: &str) -> Lang {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn detects_english() {
@@ -290,6 +308,135 @@ mod tests {
             assert!(seed_words(l).len() >= 70, "{l:?} vocabulary too small");
         }
         assert!(seed_words(Lang::Unknown).is_empty());
+    }
+
+    /// The per-language model the fused table replaced: one `known` set
+    /// plus one gram table per language, one `String` per trigram.
+    struct PerLanguageModel {
+        tables: Vec<(Lang, HashMap<String, f64>, f64)>,
+        known: std::collections::HashSet<String>,
+    }
+
+    impl PerLanguageModel {
+        fn train() -> Self {
+            let mut raw: Vec<(Lang, HashMap<String, u32>, u32)> = Vec::new();
+            let mut union = std::collections::HashSet::new();
+            for &lang in &Lang::ALL {
+                let mut counts: HashMap<String, u32> = HashMap::new();
+                let mut total = 0u32;
+                for w in profile_words(lang) {
+                    for g in char_ngrams(w, 3) {
+                        union.insert(g.clone());
+                        *counts.entry(g).or_insert(0) += 1;
+                        total += 1;
+                    }
+                }
+                raw.push((lang, counts, total));
+            }
+            const ALPHA: f64 = 1e-3;
+            let background = ALPHA / union.len().max(1) as f64;
+            let tables = raw
+                .into_iter()
+                .map(|(lang, counts, total)| {
+                    let logp = counts
+                        .into_iter()
+                        .map(|(g, c)| {
+                            let freq = c as f64 / total.max(1) as f64;
+                            (g, ((1.0 - ALPHA) * freq + background).ln())
+                        })
+                        .collect();
+                    (lang, logp, background.ln())
+                })
+                .collect();
+            Self { tables, known: union }
+        }
+
+        fn classify(&self, text: &str) -> Lang {
+            let lower = text.to_lowercase();
+            if !lower.chars().any(|c| c.is_alphabetic()) {
+                return Lang::Unknown;
+            }
+            let grams: Vec<String> = lower
+                .split(|c: char| !c.is_alphabetic() && c != '\'')
+                .filter(|w| !w.is_empty())
+                .flat_map(|w| char_ngrams(w, 3))
+                .filter(|g| self.known.contains(g))
+                .collect();
+            if grams.is_empty() {
+                return Lang::Unknown;
+            }
+            let mut best = (Lang::Unknown, f64::NEG_INFINITY);
+            for (lang, table, default) in &self.tables {
+                let score: f64 =
+                    grams.iter().map(|g| table.get(g).copied().unwrap_or(*default)).sum();
+                if score > best.1 {
+                    best = (*lang, score);
+                }
+            }
+            best.0
+        }
+    }
+
+    #[test]
+    fn fused_table_classifies_like_the_per_language_tables() {
+        let fused = LangModel::train();
+        let reference = PerLanguageModel::train();
+        let mut texts: Vec<String> = [
+            "",
+            "   ",
+            "12345 678",
+            "!!! 123 ...",
+            "'",
+            "''' 'a' b'",
+            "don't won't l'homme aujourd'hui",
+            "a i o y e",
+            "ab de il la un",
+            "\u{fc}ber gro\u{df} \u{e0} o\u{f9} pi\u{f9}",
+            "\u{c9}T\u{c9} \u{d1}and\u{fa} \u{3b1}\u{3b2}\u{3b3}",
+            "\u{43f}\u{440}\u{438}\u{432}\u{435}\u{442} stra\u{df}e",
+            "@user https://example.com/x ok",
+            "zzqx vvkw qqq",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        // Synthetic comments in every language: random picks from each
+        // profile vocabulary at several lengths, the same words with
+        // punctuation, digits and capitals between them, and mixed pairs
+        // with a second language.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for &lang in &Lang::ALL {
+            let words = profile_words(lang);
+            for len in [1, 2, 3, 5, 9] {
+                for _ in 0..40 {
+                    let picked: Vec<&str> = (0..len).map(|_| words[next(words.len())]).collect();
+                    texts.push(picked.join(" "));
+                    texts.push(format!("{}! 42, {}?", picked.join("-"), picked[0].to_uppercase()));
+                }
+            }
+            let other = profile_words(Lang::ALL[next(5)]);
+            for _ in 0..40 {
+                texts.push(format!(
+                    "{} {} {}",
+                    words[next(words.len())],
+                    other[next(other.len())],
+                    words[next(words.len())]
+                ));
+            }
+        }
+        let mut per_lang = [0usize; 6];
+        for t in &texts {
+            let got = fused.classify(t);
+            assert_eq!(got, reference.classify(t), "text {t:?}");
+            per_lang[Lang::ALL.iter().position(|&l| l == got).unwrap_or(5)] += 1;
+        }
+        assert!(per_lang.iter().all(|&n| n > 0), "every outcome exercised: {per_lang:?}");
     }
 
     #[test]

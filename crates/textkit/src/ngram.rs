@@ -1,27 +1,8 @@
-//! Word and character n-gram extraction.
+//! Character n-gram extraction.
 //!
-//! The SVM of §3.5.3 uses 1- and 2-grams of cleaned, stemmed word tokens;
-//! the language identifier uses character trigrams.
-
-/// Word n-grams of order `n`, joined with a single space.
-///
-/// Returns an empty vector when the input is shorter than `n`.
-pub fn word_ngrams(tokens: &[String], n: usize) -> Vec<String> {
-    assert!(n >= 1, "n-gram order must be >= 1");
-    if tokens.len() < n {
-        return Vec::new();
-    }
-    tokens.windows(n).map(|w| w.join(" ")).collect()
-}
-
-/// All word n-grams with orders in `1..=max_n`, concatenated.
-pub fn word_ngrams_up_to(tokens: &[String], max_n: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for n in 1..=max_n {
-        out.extend(word_ngrams(tokens, n));
-    }
-    out
-}
+//! The language identifier trains on character trigrams. (The SVM of
+//! §3.5.3 hashes its word 1- and 2-grams straight from the token list;
+//! see `classify::svm::Featurizer`.)
 
 /// Character n-grams over the raw text with `^`/`$` boundary padding.
 ///
@@ -42,36 +23,6 @@ pub fn char_ngrams(text: &str, n: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toks(words: &[&str]) -> Vec<String> {
-        words.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn unigrams_are_tokens() {
-        let t = toks(&["a", "b"]);
-        assert_eq!(word_ngrams(&t, 1), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn bigrams_join_with_space() {
-        let t = toks(&["free", "speech", "browser"]);
-        assert_eq!(word_ngrams(&t, 2), vec!["free speech", "speech browser"]);
-    }
-
-    #[test]
-    fn short_input_yields_empty() {
-        let t = toks(&["only"]);
-        assert!(word_ngrams(&t, 2).is_empty());
-        assert!(word_ngrams(&[], 1).is_empty());
-    }
-
-    #[test]
-    fn up_to_concatenates_orders() {
-        let t = toks(&["a", "b", "c"]);
-        let g = word_ngrams_up_to(&t, 2);
-        assert_eq!(g, vec!["a", "b", "c", "a b", "b c"]);
-    }
 
     #[test]
     fn char_trigrams_have_padding() {
@@ -94,6 +45,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "order")]
     fn zero_order_panics() {
-        word_ngrams(&[], 0);
+        char_ngrams("", 0);
     }
 }

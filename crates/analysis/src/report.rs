@@ -154,8 +154,7 @@ impl ReportOptions {
 /// the tables that read them.
 ///
 /// Each table and each scoring pass runs under its own `report.<name>`
-/// span on `metrics` (the names are [`REPORT_SPANS`]); together they
-/// cover the whole build.
+/// span on `metrics`; together they cover the whole build.
 pub fn build_report_pooled_opts(
     store: &CrawlStore,
     baselines: &[BaselineCorpus],
@@ -356,31 +355,6 @@ fn span<T>(metrics: Option<&obs::Registry>, name: &str, f: impl FnOnce() -> T) -
     let _span = metrics.map(|m| m.span(&format!("report.{name}")));
     f()
 }
-
-/// The `report.<name>` spans [`build_report_pooled_opts`] records, in
-/// the order it runs them.
-pub const REPORT_SPANS: [&str; 20] = [
-    "score.dissenter",
-    "indices",
-    "overview",
-    "comment_ratio",
-    "activity",
-    "social",
-    "score.reddit",
-    "score.baselines",
-    "figure7",
-    "url_census",
-    "tlds",
-    "domains",
-    "domain_medians",
-    "languages",
-    "gab_growth",
-    "table1",
-    "youtube",
-    "figure4",
-    "figure5",
-    "figure8",
-];
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 
 use crate::lexicon::Lexicon;
 use std::collections::HashSet;
-use textkit::{porter_stem, tokenize, WordSet};
+use textkit::{porter_stem, tokenize};
 
 /// Mild insult markers (real words — intentionally ordinary ones) feeding
 /// the `ATTACK_ON_AUTHOR` and `LIKELY_TO_REJECT` models.
@@ -69,10 +69,10 @@ pub struct TextFeatures {
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     hate: Lexicon,
-    obscene: WordSet,
-    insults: WordSet,
-    author: WordSet,
-    second: WordSet,
+    obscene: HashSet<String>,
+    insults: HashSet<String>,
+    author: HashSet<String>,
+    second: HashSet<String>,
 }
 
 impl FeatureExtractor {
@@ -83,7 +83,7 @@ impl FeatureExtractor {
 
     /// Extractor with a custom hate lexicon.
     pub fn new(hate: Lexicon) -> Self {
-        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<WordSet>();
+        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<HashSet<_>>();
         Self {
             hate,
             obscene: obscene_markers().iter().map(|w| porter_stem(w)).collect(),
@@ -134,21 +134,16 @@ impl FeatureExtractor {
                 author += 1;
             }
         }
-        let (mut chars, mut letters, mut uppers, mut bangs) = (0usize, 0usize, 0usize, 0usize);
-        for c in text.chars() {
-            chars += 1;
-            letters += c.is_alphabetic() as usize;
-            uppers += c.is_uppercase() as usize;
-            bangs += (c == '!') as usize;
-        }
-        let chars = chars.max(1);
+        let chars = text.chars().count().max(1);
+        let letters = text.chars().filter(|c| c.is_alphabetic()).count();
+        let uppers = text.chars().filter(|c| c.is_uppercase()).count();
         TextFeatures {
             hate_ratio: hate as f64 / n as f64,
             obscene_ratio: obscene as f64 / n as f64,
             insult_ratio: insult as f64 / n as f64,
             author_ratio: author as f64 / n as f64,
             second_person_ratio: second as f64 / n as f64,
-            exclaim_density: (bangs as f64 / chars as f64).min(1.0),
+            exclaim_density: (text.matches('!').count() as f64 / chars as f64).min(1.0),
             caps_ratio: if letters > 0 { uppers as f64 / letters as f64 } else { 0.0 },
             tokens: n,
         }
@@ -172,7 +167,7 @@ impl FeatureExtractor {
 /// Perspective-style features) read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StemmedTokens {
-    /// Lowercase word tokens, as [`textkit::tokenize`] splits them.
+    /// Lowercase word tokens, as [`textkit::tokenize()`] splits them.
     pub tokens: Vec<String>,
     /// The Porter stem of each token, in the same order.
     pub stems: Vec<String>,

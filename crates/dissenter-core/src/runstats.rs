@@ -72,8 +72,8 @@ pub struct RunStats {
     /// Pipeline stage wall-clocks, in pipeline order.
     pub stages: Vec<StageTime>,
     /// Wall-clock of each table and scoring pass of the report stage
-    /// (from the `report.<name>` spans), in report order. Summed, they
-    /// cover the `report` stage.
+    /// (every `report.<name>` span), in name order. Summed, they cover
+    /// the `report` stage.
     pub report_spans: Vec<StageTime>,
     /// Per-phase crawl coverage, in pipeline order.
     pub phases: Vec<PhaseCoverage>,
@@ -115,13 +115,12 @@ pub fn collect(registry: &obs::Registry) -> RunStats {
         }
     }
 
-    let report_spans = analysis::report::REPORT_SPANS
+    let report_spans = snapshot
+        .histograms
         .iter()
-        .filter_map(|name| {
-            snapshot.histogram(&format!("report.{name}")).map(|h| StageTime {
-                name: (*name).to_owned(),
-                wall_us: h.sum_ns / 1_000,
-            })
+        .filter_map(|(name, h)| {
+            let part = name.strip_prefix("report.")?;
+            Some(StageTime { name: part.to_owned(), wall_us: h.sum_ns / 1_000 })
         })
         .collect();
 
@@ -213,7 +212,7 @@ mod tests {
         assert_eq!(names, vec!["synth", "report", "custom"], "pipeline order, extras last");
         let spans: Vec<(&str, u64)> =
             rs.report_spans.iter().map(|s| (s.name.as_str(), s.wall_us)).collect();
-        assert_eq!(spans, vec![("score.dissenter", 2_000), ("tlds", 1_000)], "report order");
+        assert_eq!(spans, vec![("score.dissenter", 2_000), ("tlds", 1_000)], "name order");
         assert_eq!(rs.phases.len(), 7, "every phase present even when idle");
         let probe = rs.phases.iter().find(|p| p.name == "probe").unwrap();
         assert_eq!(probe.attempted, probe.succeeded + probe.dead_lettered);

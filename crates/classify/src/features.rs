@@ -7,7 +7,7 @@
 
 use crate::lexicon::Lexicon;
 use std::collections::HashSet;
-use textkit::{porter_stem, tokenize};
+use textkit::{porter_stem, tokenize, WordSet};
 
 /// Mild insult markers (real words — intentionally ordinary ones) feeding
 /// the `ATTACK_ON_AUTHOR` and `LIKELY_TO_REJECT` models.
@@ -69,10 +69,10 @@ pub struct TextFeatures {
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     hate: Lexicon,
-    obscene: HashSet<String>,
-    insults: HashSet<String>,
-    author: HashSet<String>,
-    second: HashSet<String>,
+    obscene: WordSet,
+    insults: WordSet,
+    author: WordSet,
+    second: WordSet,
 }
 
 impl FeatureExtractor {
@@ -83,7 +83,7 @@ impl FeatureExtractor {
 
     /// Extractor with a custom hate lexicon.
     pub fn new(hate: Lexicon) -> Self {
-        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<HashSet<_>>();
+        let stem_set = |ws: &[&str]| ws.iter().map(|w| porter_stem(w)).collect::<WordSet>();
         Self {
             hate,
             obscene: obscene_markers().iter().map(|w| porter_stem(w)).collect(),

@@ -17,7 +17,7 @@
 //!   benign word that contains one lexicon term as a prefix.
 
 use std::collections::HashSet;
-use textkit::porter_stem;
+use textkit::{porter_stem, WordSet};
 
 /// Number of terms in the paper's dictionary.
 pub const LEXICON_SIZE: usize = 1_027;
@@ -38,7 +38,7 @@ pub const SUBSTRING_TRAP_TERM: &str = "vorga";
 #[derive(Debug, Clone)]
 pub struct Lexicon {
     terms: Vec<String>,
-    stemmed: HashSet<String>,
+    stemmed: WordSet,
 }
 
 impl Lexicon {

@@ -23,7 +23,7 @@
 //! every language alike.
 
 use crate::ngram::char_ngrams;
-use std::collections::HashMap;
+use crate::wordhash::WordMap;
 use std::sync::OnceLock;
 
 /// Languages the identifier distinguishes — the five the paper reports,
@@ -168,7 +168,7 @@ pub struct LangModel {
     /// vocabulary) carry no language signal and are skipped — otherwise
     /// out-of-vocabulary mass would bias classification toward whichever
     /// language has the smallest profile.
-    grams: HashMap<String, [f64; 5]>,
+    grams: WordMap<[f64; 5]>,
 }
 
 impl LangModel {
@@ -182,7 +182,7 @@ impl LangModel {
     /// smallest profile. A shared background makes "unknown here" cost the
     /// same under every language.
     pub fn train() -> Self {
-        let mut counts: HashMap<String, [u32; 5]> = HashMap::new();
+        let mut counts: WordMap<[u32; 5]> = WordMap::default();
         let mut totals = [0u32; 5];
         for (k, &lang) in Lang::ALL.iter().enumerate() {
             for w in profile_words(lang) {

@@ -13,16 +13,20 @@
 //! * [`langid`] — a character-trigram naive-Bayes language identifier
 //!   (stand-in for `langid.py`), sharing its per-language seed vocabulary
 //!   with the synthetic text generator so the classifier genuinely
-//!   recognizes generated text rather than being told its label.
+//!   recognizes generated text rather than being told its label,
+//! * [`wordhash`] — the FNV-1a-hashed sets and maps the scorers look
+//!   tokens and trigrams up in.
 
 pub mod clean;
 pub mod langid;
 pub mod ngram;
 pub mod stem;
 pub mod tokenize;
+pub mod wordhash;
 
 pub use clean::clean_text;
 pub use langid::{detect, Lang, LangModel};
 pub use ngram::char_ngrams;
 pub use stem::porter_stem;
 pub use tokenize::{tokenize, tokenize_stemmed};
+pub use wordhash::{WordMap, WordSet};

@@ -165,19 +165,20 @@ pub fn build_report_pooled_opts(
     let launch = ScorerVersion::launch(0);
 
     // Comments in id order: the store is a hash map, and this order
-    // feeds Fig. 7's push-order statistics.
-    let (scores, dissenter_scores, comment_languages) = span(metrics, "score.dissenter", || {
-        let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
-        comment_ids.sort_unstable();
-        let texts: Vec<&str> =
-            comment_ids.iter().map(|id| store.comments[id].text.as_str()).collect();
-        let scored = score_texts(&texts, &launch, true, pool, metrics);
-        let perspective: Vec<classify::PerspectiveScores> =
-            scored.scores.iter().map(|s| s.perspective).collect();
-        let scores: HashMap<ObjectId, CommentScores> =
-            comment_ids.into_iter().zip(scored.scores).collect();
-        (scores, perspective, scored.languages)
-    });
+    // feeds the push-order statistics of Figs. 7 and 8.
+    let (comment_ids, scores, dissenter_scores, comment_languages) =
+        span(metrics, "score.dissenter", || {
+            let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
+            comment_ids.sort_unstable();
+            let texts: Vec<&str> =
+                comment_ids.iter().map(|id| store.comments[id].text.as_str()).collect();
+            let scored = score_texts(&texts, &launch, true, pool, metrics);
+            let perspective: Vec<classify::PerspectiveScores> =
+                scored.scores.iter().map(|s| s.perspective).collect();
+            let scores: HashMap<ObjectId, CommentScores> =
+                comment_ids.iter().copied().zip(scored.scores).collect();
+            (comment_ids, scores, perspective, scored.languages)
+        });
 
     let (by_author, user_comment_counts) = span(metrics, "indices", || {
         (store.comments_by_author(), crate::users::comment_counts(store))
@@ -326,7 +327,7 @@ pub fn build_report_pooled_opts(
     let youtube = span(metrics, "youtube", || youtube_breakdown(store));
     let figure4 = span(metrics, "figure4", || figure4(store, &scores));
     let figure5 = span(metrics, "figure5", || figure5(store, &scores));
-    let figure8 = span(metrics, "figure8", || figure8(store, &scores));
+    let figure8 = span(metrics, "figure8", || figure8(store, &comment_ids, &scores));
 
     StudyReport {
         overview,

@@ -256,8 +256,13 @@ pub struct Figure8 {
     pub ranked_comments: usize,
 }
 
-/// Compute Figure 8 from pre-computed scores.
-pub fn figure8(store: &CrawlStore, scores: &HashMap<ObjectId, CommentScores>) -> Figure8 {
+/// Compute Figure 8 from pre-computed scores, visiting `comment_ids`
+/// (the store's comment ids, sorted ascending) in order.
+pub fn figure8(
+    store: &CrawlStore,
+    comment_ids: &[ObjectId],
+    scores: &HashMap<ObjectId, CommentScores>,
+) -> Figure8 {
     // URL id → bias.
     let bias_of_url: HashMap<ObjectId, Bias> = store
         .urls
@@ -277,10 +282,9 @@ pub fn figure8(store: &CrawlStore, scores: &HashMap<ObjectId, CommentScores>) ->
     // Comments in id order: the store is a hash map, so without this the
     // per-bias push order (and the push-order f64 mean the sketch keeps)
     // would vary run to run and break the byte-identical export contract.
-    let mut comment_ids: Vec<ObjectId> = store.comments.keys().copied().collect();
-    comment_ids.sort_unstable();
+    debug_assert!(comment_ids.windows(2).all(|w| w[0] < w[1]), "ids sorted");
     for id in comment_ids {
-        let c = &store.comments[&id];
+        let c = &store.comments[id];
         let Some(s) = scores.get(&c.id) else { continue };
         let bias = bias_of_url.get(&c.url_id).copied().unwrap_or(Bias::NotRanked);
         if bias == Bias::NotRanked {

@@ -12,7 +12,7 @@
 //! * **featurizer dimension** — 2^12 vs 2^16 hash space (collision rate
 //!   vs memory).
 
-use classify::adasyn::{adasyn, AdasynConfig};
+use classify::adasyn::{adasyn, AdasynConfig, DistTable};
 use classify::svm::{Featurizer, LinearSvm, SvmConfig};
 use classify::HateDictionary;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -64,12 +64,17 @@ fn bench_adasyn_ablation(c: &mut Criterion) {
     g.bench_function("train_imbalanced", |b| {
         b.iter(|| black_box(LinearSvm::train(&samples, 3, cfg)));
     });
-    let balanced = adasyn(&samples, 3, AdasynConfig::default());
+    let ids: Vec<usize> = (0..samples.len()).collect();
+    let oversample = || {
+        let table = DistTable::new(&samples);
+        adasyn(&samples, &ids, &table, 3, AdasynConfig::default(), 1)
+    };
+    let balanced = oversample();
     g.bench_function("train_oversampled", |b| {
         b.iter(|| black_box(LinearSvm::train(&balanced, 3, cfg)));
     });
     g.bench_function("adasyn_pass_itself", |b| {
-        b.iter(|| black_box(adasyn(&samples, 3, AdasynConfig::default())));
+        b.iter(|| black_box(oversample()));
     });
     g.finish();
 }

@@ -2,10 +2,10 @@
 //! Perspective-style scoring (the Figure 4/7/8 hot path), featurization,
 //! ADASYN, and SVM training (the §3.5.3 experiment, E14).
 
-use classify::adasyn::{adasyn, AdasynConfig};
+use classify::adasyn::{adasyn, AdasynConfig, DistTable};
 use classify::svm::{Featurizer, LinearSvm, SparseVec, SvmConfig};
 use classify::{HateDictionary, PerspectiveModel};
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synth::{labeled_corpus, CommentSpec, TextGen};
@@ -77,12 +77,13 @@ fn bench_training(c: &mut Criterion) {
     let samples = svm_samples(1_000);
     let mut g = c.benchmark_group("training");
     g.sample_size(10);
+    // One oversampling from scratch: the distance table, then ADASYN.
     g.bench_function("adasyn_1k", |b| {
-        b.iter_batched(
-            || samples.clone(),
-            |s| black_box(adasyn(&s, 3, AdasynConfig::default())),
-            BatchSize::LargeInput,
-        );
+        let ids: Vec<usize> = (0..samples.len()).collect();
+        b.iter(|| {
+            let table = DistTable::new(&samples);
+            black_box(adasyn(&samples, &ids, &table, 3, AdasynConfig::default(), 1))
+        });
     });
     g.bench_function("svm_train_1k_x3class", |b| {
         let cfg = SvmConfig { epochs: 5, ..SvmConfig::default() };

@@ -47,10 +47,12 @@ fn bench_artifacts(c: &mut Criterion) {
     });
     // E7 / Fig. 4 + E11 / Fig. 8 from cached scores.
     g.bench_function("fig4_fig8_aggregation", |b| {
+        let mut comment_ids: Vec<_> = store.comments.keys().copied().collect();
+        comment_ids.sort_unstable();
         b.iter(|| {
             black_box((
                 analysis::toxicity::figure4(store, &study.report.scores),
-                analysis::toxicity::figure8(store, &study.report.scores),
+                analysis::toxicity::figure8(store, &comment_ids, &study.report.scores),
             ))
         });
     });

@@ -6,12 +6,13 @@
 //! oversampling before splitting would leak synthetic copies of test
 //! samples into training, inflating F1.
 //!
-//! Folds are independent given the fold assignment, so CV parallelizes
-//! per fold ([`cross_validate_sharded`]); each fold's ADASYN draws from
-//! its own seed stream split by the stable fold id ([`run_fold`]), so
-//! serial and sharded execution produce identical confusions.
+//! Folds are independent given the fold assignment, so they parallelize
+//! per fold. Each fold's training split is oversampled once, from the
+//! corpus's [`DistTable`], and every λ candidate trains on that one set
+//! ([`fold_confusions`]); its ADASYN seed is split by the stable fold
+//! id, so serial and pooled execution produce identical confusions.
 
-use crate::adasyn::{adasyn_sharded, AdasynConfig};
+use crate::adasyn::{adasyn, AdasynConfig, DistTable};
 use crate::metrics::Confusion;
 use crate::shard;
 use crate::svm::{LinearSvm, SparseVec, SvmConfig};
@@ -48,47 +49,49 @@ impl CvResult {
     }
 }
 
-/// Train on everything outside `fold` (ADASYN on the training split when
-/// `oversample` is set) and score the held-out fold.
+/// Train one model per entry of `configs` on everything outside `fold`
+/// and score the held-out fold with each, returning the confusions in
+/// `configs` order.
 ///
-/// The fold's ADASYN seed is split from the base config by the stable
-/// fold id — never the thread that runs the fold — so a pool executing
-/// folds in any order reproduces the serial confusion exactly.
-pub fn run_fold(
+/// With `oversample` set, the training split is oversampled once by
+/// ADASYN reading the given [`DistTable`] of `samples`, and every model
+/// trains on that one set. The ADASYN seed is split from the config's by
+/// the stable fold id — never the thread that runs the fold — so a pool
+/// executing folds in any order reproduces the serial confusions exactly.
+pub fn fold_confusions(
     samples: &[(SparseVec, usize)],
     folds: &[usize],
     fold: usize,
     classes: usize,
-    svm_cfg: SvmConfig,
-    oversample: Option<AdasynConfig>,
-) -> Confusion {
-    let train: Vec<(SparseVec, usize)> = samples
-        .iter()
-        .zip(folds)
-        .filter(|(_, &f)| f != fold)
-        .map(|(s, _)| s.clone())
-        .collect();
+    configs: &[SvmConfig],
+    oversample: Option<(AdasynConfig, &DistTable)>,
+) -> Vec<Confusion> {
+    let train_ids: Vec<usize> = (0..samples.len()).filter(|&i| folds[i] != fold).collect();
     let train = match oversample {
-        Some(cfg) => {
+        Some((cfg, table)) => {
             let fold_cfg =
                 AdasynConfig { seed: shard::stream_seed(cfg.seed, fold as u64), ..cfg };
-            adasyn_sharded(&train, classes, fold_cfg, 1)
+            adasyn(samples, &train_ids, table, classes, fold_cfg, 1)
         }
-        None => train,
+        None => train_ids.iter().map(|&i| samples[i].clone()).collect(),
     };
-    let model = LinearSvm::train(&train, classes, svm_cfg);
-    let mut confusion = Confusion::new(classes);
-    for (s, &f) in samples.iter().zip(folds) {
-        if f == fold {
-            confusion.add(s.1, model.predict(&s.0));
-        }
-    }
-    confusion
+    configs
+        .iter()
+        .map(|&cfg| {
+            let model = LinearSvm::train(&train, classes, cfg);
+            let mut confusion = Confusion::new(classes);
+            for (s, &f) in samples.iter().zip(folds) {
+                if f == fold {
+                    confusion.add(s.1, model.predict(&s.0));
+                }
+            }
+            confusion
+        })
+        .collect()
 }
 
-/// Evaluate one SVM configuration with k-fold CV; ADASYN applied per-fold
-/// when `oversample` is set. Serial; identical to
-/// [`cross_validate_sharded`] at any worker count.
+/// Evaluate one SVM configuration with k-fold CV, serially; ADASYN
+/// applied per fold when `oversample` is set.
 pub fn cross_validate(
     samples: &[(SparseVec, usize)],
     classes: usize,
@@ -97,100 +100,14 @@ pub fn cross_validate(
     oversample: Option<AdasynConfig>,
     seed: u64,
 ) -> CvResult {
-    cross_validate_sharded(samples, classes, k, svm_cfg, oversample, seed, 1)
-}
-
-/// [`cross_validate`] with folds executed on `workers` threads and the
-/// per-fold confusions merged in ascending fold order.
-#[allow(clippy::too_many_arguments)]
-pub fn cross_validate_sharded(
-    samples: &[(SparseVec, usize)],
-    classes: usize,
-    k: usize,
-    svm_cfg: SvmConfig,
-    oversample: Option<AdasynConfig>,
-    seed: u64,
-    workers: usize,
-) -> CvResult {
     let folds = fold_assignment(samples.len(), k, seed);
-    let fold_ids: Vec<usize> = (0..k).collect();
-    let per_fold: Vec<Confusion> = shard::map_sharded(&fold_ids, 1, workers, |_, shard| {
-        shard
-            .iter()
-            .map(|&fold| run_fold(samples, &folds, fold, classes, svm_cfg, oversample))
-            .collect()
-    });
+    let table = oversample.map(|_| DistTable::new(samples));
     let mut confusion = Confusion::new(classes);
-    for c in &per_fold {
-        confusion.merge(c);
+    for fold in 0..k {
+        let over = oversample.zip(table.as_ref());
+        confusion.merge(&fold_confusions(samples, &folds, fold, classes, &[svm_cfg], over)[0]);
     }
     CvResult { confusion, config: svm_cfg }
-}
-
-/// Grid search over λ: cross-validate each candidate, return all results
-/// sorted by weighted F1 (best first). Candidates run serially; pass
-/// `workers` via [`grid_search_sharded`] to fan the (λ, fold) grid out.
-pub fn grid_search(
-    samples: &[(SparseVec, usize)],
-    classes: usize,
-    k: usize,
-    lambdas: &[f64],
-    base: SvmConfig,
-    oversample: Option<AdasynConfig>,
-    seed: u64,
-) -> Vec<CvResult> {
-    grid_search_sharded(samples, classes, k, lambdas, base, oversample, seed, 1)
-}
-
-/// [`grid_search`] with the flattened (λ, fold) job grid executed on
-/// `workers` threads. The fold assignment is shared across candidates
-/// (same `seed`), per-fold results merge in fold order per λ, and the
-/// final sort is by (F1 desc, candidate index asc) — all independent of
-/// scheduling, so output is byte-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn grid_search_sharded(
-    samples: &[(SparseVec, usize)],
-    classes: usize,
-    k: usize,
-    lambdas: &[f64],
-    base: SvmConfig,
-    oversample: Option<AdasynConfig>,
-    seed: u64,
-    workers: usize,
-) -> Vec<CvResult> {
-    assert!(!lambdas.is_empty(), "empty grid");
-    let folds = fold_assignment(samples.len(), k, seed);
-    // Flatten to (candidate, fold) jobs so k-fold parallelism is not
-    // capped at k when the grid has several candidates.
-    let jobs: Vec<(usize, usize)> = (0..lambdas.len())
-        .flat_map(|c| (0..k).map(move |fold| (c, fold)))
-        .collect();
-    let per_job: Vec<Confusion> = shard::map_sharded(&jobs, 1, workers, |_, shard| {
-        shard
-            .iter()
-            .map(|&(c, fold)| {
-                let cfg = SvmConfig { lambda: lambdas[c], ..base };
-                run_fold(samples, &folds, fold, classes, cfg, oversample)
-            })
-            .collect()
-    });
-    let mut results: Vec<CvResult> = lambdas
-        .iter()
-        .enumerate()
-        .map(|(c, &lambda)| {
-            let mut confusion = Confusion::new(classes);
-            for fold in 0..k {
-                confusion.merge(&per_job[c * k + fold]);
-            }
-            CvResult { confusion, config: SvmConfig { lambda, ..base } }
-        })
-        .collect();
-    results.sort_by(|a, b| {
-        b.weighted_f1()
-            .partial_cmp(&a.weighted_f1())
-            .expect("finite F1")
-    });
-    results
 }
 
 #[cfg(test)]
@@ -235,16 +152,22 @@ mod tests {
     }
 
     #[test]
-    fn grid_search_sorts_best_first() {
+    fn fold_confusions_score_every_config_on_one_training_set() {
         let s = separable(20);
         let base = SvmConfig { dim: 16, epochs: 10, seed: 2, lambda: 0.0 };
-        let results = grid_search(&s, 2, 4, &[1e-4, 1e-1, 10.0], base, None, 3);
-        assert_eq!(results.len(), 3);
-        for w in results.windows(2) {
-            assert!(w[0].weighted_f1() >= w[1].weighted_f1());
+        let configs = [1e-4, 1e-1, 10.0].map(|lambda| SvmConfig { lambda, ..base });
+        let folds = fold_assignment(s.len(), 4, 3);
+        let table = DistTable::new(&s);
+        let over = Some((AdasynConfig::default(), &table));
+        for fold in 0..4 {
+            let all = fold_confusions(&s, &folds, fold, 2, &configs, over);
+            assert_eq!(all.len(), configs.len());
+            // Each config's confusion is what a fold run for it alone gives.
+            for (c, confusion) in configs.iter().zip(&all) {
+                assert_eq!(*confusion, fold_confusions(&s, &folds, fold, 2, &[*c], over)[0]);
+                assert_eq!(confusion.total(), folds.iter().filter(|&&f| f == fold).count() as u64);
+            }
         }
-        // Huge λ over-regularizes; it should not win.
-        assert!(results[0].config.lambda < 10.0);
     }
 
     #[test]
@@ -262,33 +185,5 @@ mod tests {
     #[should_panic(expected = "folds")]
     fn too_few_samples_panics() {
         fold_assignment(3, 5, 0);
-    }
-
-    #[test]
-    fn sharded_cv_identical_for_any_worker_count() {
-        let s = separable(15);
-        let cfg = SvmConfig { dim: 16, lambda: 1e-3, epochs: 8, seed: 2 };
-        let over = Some(AdasynConfig::default());
-        let serial = cross_validate_sharded(&s, 2, 3, cfg, over, 5, 1);
-        for workers in [2, 8] {
-            let par = cross_validate_sharded(&s, 2, 3, cfg, over, 5, workers);
-            assert_eq!(par.confusion, serial.confusion, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn sharded_grid_identical_for_any_worker_count() {
-        let s = separable(12);
-        let base = SvmConfig { dim: 16, epochs: 6, seed: 2, lambda: 0.0 };
-        let lambdas = [1e-4, 1e-2];
-        let serial = grid_search_sharded(&s, 2, 3, &lambdas, base, None, 3, 1);
-        for workers in [2, 8] {
-            let par = grid_search_sharded(&s, 2, 3, &lambdas, base, None, 3, workers);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.confusion, b.confusion, "workers={workers}");
-                assert_eq!(a.config.lambda, b.config.lambda, "workers={workers}");
-            }
-        }
     }
 }

@@ -4,13 +4,14 @@
 //! probabilities for every crawled Dissenter comment.
 //!
 //! The experiment is sharded end to end: corpus synthesis and featurizing
-//! run on per-shard seed streams, the (λ, fold) grid fans out onto the
-//! shared study [`httpnet::ThreadPool`], and the application pass scores
-//! id-ordered comment shards whose partial sums merge in canonical shard
-//! order — so the report is byte-identical at any worker count.
+//! run on per-shard seed streams; the pairwise distance table and the
+//! per-fold CV jobs run on the shared study [`httpnet::ThreadPool`]; and
+//! the application pass scores id-ordered comment shards whose partial
+//! sums merge in canonical shard order — so the report is byte-identical
+//! at any worker count.
 
-use classify::adasyn::{adasyn_sharded, AdasynConfig};
-use classify::cv::{fold_assignment, run_fold, CvResult};
+use classify::adasyn::{adasyn, AdasynConfig, DistTable};
+use classify::cv::{fold_assignment, fold_confusions, CvResult};
 use classify::shard;
 use classify::svm::{argmax, softmax, Featurizer, LinearSvm, SparseVec, SvmConfig};
 use classify::CommentClass;
@@ -61,43 +62,49 @@ pub fn run_svm_experiment_pooled(
             sh.iter().map(|s| (featurizer.featurize(&s.text), s.class.index())).collect()
         });
 
-    // Grid search over λ with the flattened (candidate, fold) jobs
-    // scattered onto the shared pool. Mirrors
-    // [`classify::cv::grid_search_sharded`]: one fold assignment shared
-    // across candidates, per-fold confusions merged in fold order per λ,
-    // final sort by F1 — independent of scheduling.
-    let lambdas = [1e-5, 1e-4, 1e-3];
-    let base = SvmConfig { epochs: 8, seed, ..SvmConfig::default() };
-    let k = 5usize;
-    let oversample = Some(AdasynConfig { k: 5, beta: 1.0, seed });
-    let folds = Arc::new(fold_assignment(samples.len(), k, seed ^ 0xF0F0));
+    // Pairwise distances once, on the pool: every fold's ADASYN and the
+    // final model's read them from this table.
     let shared = Arc::new(samples);
-    let jobs: Vec<_> = (0..lambdas.len())
-        .flat_map(|c| (0..k).map(move |fold| (c, fold)))
-        .map(|(c, fold)| {
+    let table_jobs: Vec<_> = DistTable::shards(shared.len())
+        .into_iter()
+        .map(|rows| {
             let samples = Arc::clone(&shared);
-            let folds = Arc::clone(&folds);
-            move || {
-                let cfg = SvmConfig { lambda: lambdas[c], ..base };
-                run_fold(&samples, &folds, fold, 3, cfg, oversample)
-            }
+            move || DistTable::fill(&samples, rows)
         })
         .collect();
-    let per_job = pool.scatter_labeled("svm.cv", metrics, jobs);
-    let mut results: Vec<CvResult> = lambdas
+    let table = Arc::new(DistTable::from_shards(shared.len(), pool.scatter(table_jobs)));
+
+    // Grid search over λ: one job per fold on the shared pool, each
+    // oversampling its training split once and scoring every λ on it.
+    // Per-fold confusions merge in fold order per λ and the final sort is
+    // by F1 (stable on ties) — independent of scheduling.
+    let base = SvmConfig { epochs: 8, seed, ..SvmConfig::default() };
+    let configs = [1e-5, 1e-4, 1e-3].map(|lambda| SvmConfig { lambda, ..base });
+    let oversample = AdasynConfig { k: 5, beta: 1.0, seed };
+    let k = 5;
+    let folds = Arc::new(fold_assignment(shared.len(), k, seed ^ 0xF0F0));
+    let jobs: Vec<_> = (0..k)
+        .map(|fold| {
+            let (samples, folds, table) =
+                (Arc::clone(&shared), Arc::clone(&folds), Arc::clone(&table));
+            move || fold_confusions(&samples, &folds, fold, 3, &configs, Some((oversample, &table)))
+        })
+        .collect();
+    let per_fold = pool.scatter_labeled("svm.cv", metrics, jobs);
+    let mut results: Vec<CvResult> = configs
         .iter()
         .enumerate()
-        .map(|(c, &lambda)| {
+        .map(|(c, &config)| {
             let mut confusion = classify::Confusion::new(3);
-            for fold in 0..k {
-                confusion.merge(&per_job[c * k + fold]);
+            for fold in &per_fold {
+                confusion.merge(&fold[c]);
             }
             // Every sample is validated exactly once across the k folds,
             // so the pooled matrix must account for the whole corpus.
             confusion
                 .check_books(shared.len() as u64)
                 .expect("pooled CV confusion accounts for every sample");
-            CvResult { confusion, config: SvmConfig { lambda, ..base } }
+            CvResult { confusion, config }
         })
         .collect();
     results.sort_by(|a, b| b.weighted_f1().partial_cmp(&a.weighted_f1()).expect("finite F1"));
@@ -105,9 +112,11 @@ pub fn run_svm_experiment_pooled(
     let grid: Vec<(f64, f64)> =
         results.iter().map(|r| (r.config.lambda, r.weighted_f1())).collect();
 
-    // Final model on the full (oversampled) corpus; apply to all comments.
-    let oversampled =
-        adasyn_sharded(&shared, 3, AdasynConfig { k: 5, beta: 1.0, seed }, workers);
+    // Final model on the full (oversampled) corpus; the table is not
+    // needed past this point.
+    let all: Vec<usize> = (0..shared.len()).collect();
+    let oversampled = adasyn(&shared, &all, &table, 3, oversample, workers);
+    drop(table);
     let model = Arc::new(LinearSvm::train(&oversampled, 3, best.config));
     let train_busy = train_started.elapsed();
 
@@ -194,23 +203,54 @@ mod tests {
         let r = run_svm_experiment_pooled(&store, 1_500, 42, &pool, None);
         assert!(r.cv_f1 > 0.8, "weighted F1 {}", r.cv_f1);
         assert!(r.grid.len() == 3);
+        // Best first: the reported λ and F1 head the grid.
+        assert_eq!(r.grid[0], (r.best_lambda, r.cv_f1));
+        assert!(r.grid.windows(2).all(|w| w[0].1 >= w[1].1), "{:?}", r.grid);
         // Empty store → no comment application.
         assert_eq!(r.class_shares, [0.0; 3]);
     }
 
+    /// A store of `n` comments with labeled-corpus texts, so the
+    /// application pass spans several shards.
+    fn store_with_comments(n: usize) -> CrawlStore {
+        use crawler::store::{CrawledComment, ShadowLabel};
+        let mut store = CrawlStore::default();
+        let mut ids = ids::ObjectIdGen::new(ids::EntityKind::Comment, 3);
+        for sample in synth::labeled_corpus(n, 19) {
+            let id = ids.next(1);
+            store.comments.insert(
+                id,
+                CrawledComment {
+                    id,
+                    url_id: ids.next(1),
+                    author_id: ids.next(1),
+                    parent: None,
+                    text: sample.text,
+                    created_at: 1,
+                    label: ShadowLabel::Standard,
+                },
+            );
+        }
+        store
+    }
+
     #[test]
     fn pooled_experiment_identical_for_any_pool_size() {
-        let store = CrawlStore::default();
+        let store = store_with_comments(1_300);
         let serial = {
             let pool = httpnet::ThreadPool::new(1, 2);
             run_svm_experiment_pooled(&store, 600, 7, &pool, None)
         };
+        // The application pass ran over every comment.
+        assert!((serial.class_shares.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{serial:?}");
         for workers in [2, 8] {
             let pool = httpnet::ThreadPool::new(workers, workers * 2);
             let par = run_svm_experiment_pooled(&store, 600, 7, &pool, None);
             assert_eq!(par.cv_f1, serial.cv_f1, "workers={workers}");
             assert_eq!(par.grid, serial.grid, "workers={workers}");
             assert_eq!(par.best_lambda, serial.best_lambda, "workers={workers}");
+            assert_eq!(par.mean_class_probs, serial.mean_class_probs, "workers={workers}");
+            assert_eq!(par.class_shares, serial.class_shares, "workers={workers}");
         }
     }
 }

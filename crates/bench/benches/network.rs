@@ -98,7 +98,7 @@ fn bench_crawl_ops(c: &mut Criterion) {
     g.bench_function("comment_page_scrape", |b| {
         let client = Client::builder(fx.services.dissenter.addr()).build();
         let html = client.get(&format!("/url/{}", fx.url_id)).unwrap().text();
-        b.iter(|| black_box(crawler::spider::parse_comment_page(&html)));
+        b.iter(|| black_box(crawler::spider::parse_comment_page(html.as_bytes())));
     });
     g.finish();
 }

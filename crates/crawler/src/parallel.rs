@@ -19,27 +19,27 @@ use std::sync::Mutex;
 /// 16 or 32 did.
 pub const PIPELINE_DEPTH: usize = 8;
 
-/// Run `work(client, item)` over `items` with `workers` threads, each
-/// owning a keep-alive [`Client`] to `addr`, configured by `setup`.
-/// Results are collected unordered.
+/// Run `work(client, item)` over `items` with the phase's worker
+/// threads, each owning a keep-alive [`Client`] to `addr`, configured by
+/// `setup`. Results are collected unordered.
 ///
 /// A panic inside `work` is confined to its item: it is caught, recorded
-/// as a failure (and panic) on `stats`, and the worker keeps draining on
-/// a fresh client — one poisoned page cannot take the phase down or
-/// strand the other workers' results.
+/// as a failure (and panic) on the store's stats, and the worker keeps
+/// draining on a fresh client — one poisoned page cannot take the phase
+/// down or strand the other workers' results.
 pub fn parallel_fetch<T: Sync, R: Send>(
+    run: &PhaseRun<'_>,
+    store: &CrawlStore,
     addr: SocketAddr,
     items: &[T],
-    workers: usize,
-    stats: &CrawlStats,
     setup: impl Fn(ClientBuilder) -> ClientBuilder + Sync,
     work: impl Fn(&mut Client, &T) -> Option<R> + Sync,
 ) -> Vec<R> {
     drive(
+        run,
+        &store.stats,
         addr,
         items,
-        workers,
-        stats,
         setup,
         1,
         |_, batch, _| vec![(); batch.len()],
@@ -63,10 +63,10 @@ pub fn parallel_get<T: Sync, R: Send>(
     parse: impl Fn(&T, Response) -> Option<R> + Sync,
 ) -> Vec<R> {
     drive(
+        run,
+        &store.stats,
         addr,
         items,
-        run.workers(),
-        &store.stats,
         setup,
         PIPELINE_DEPTH,
         |client, batch, depth| {
@@ -83,24 +83,29 @@ pub fn parallel_get<T: Sync, R: Send>(
 /// item with its fetched input. Panics are confined per item: a panic in
 /// `work` loses that item, one in `fetch` loses the batch; either way
 /// the worker carries on with a fresh client.
+///
+/// Each worker adds the CPU time its thread spent in the call to the
+/// phase's `crawl.<phase>.client_cpu_s` gauge, read once when it starts
+/// and once when it ends.
 #[allow(clippy::too_many_arguments)]
 fn drive<T: Sync, A, R: Send>(
+    run: &PhaseRun<'_>,
+    stats: &CrawlStats,
     addr: SocketAddr,
     items: &[T],
-    workers: usize,
-    stats: &CrawlStats,
     setup: impl Fn(ClientBuilder) -> ClientBuilder + Sync,
     depth: usize,
     fetch: impl Fn(&Client, &[T], &mut usize) -> Vec<A> + Sync,
     work: impl Fn(&mut Client, &T, A) -> Option<R> + Sync,
 ) -> Vec<R> {
-    let workers = workers.max(1).min(items.len().max(1));
+    let workers = run.workers().max(1).min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<R>> = Mutex::new(Vec::with_capacity(items.len()));
     let fresh_client = || setup(Client::builder(addr)).build();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let cpu_start = httpnet::sys::thread_cpu_time();
                 let mut client = fresh_client();
                 let mut depth = depth.max(1);
                 let mut local: Vec<R> = Vec::new();
@@ -131,6 +136,9 @@ fn drive<T: Sync, A, R: Send>(
                     }
                 }
                 results.lock().unwrap_or_else(|e| e.into_inner()).extend(local);
+                if let (Ok(start), Ok(end)) = (cpu_start, httpnet::sys::thread_cpu_time()) {
+                    run.client_cpu().add((end - start).as_secs_f64());
+                }
             });
         }
     });
@@ -143,18 +151,32 @@ mod tests {
     use httpnet::{Handler, Request, Response, Server, ServerConfig};
     use std::sync::Arc;
 
+    /// A crawler whose every service is `addr`, with `workers` workers.
+    fn crawler_at(addr: SocketAddr, workers: usize) -> crate::Crawler {
+        let mut crawler = crate::Crawler::new(crate::Endpoints {
+            dissenter: addr,
+            gab: addr,
+            reddit: addr,
+            youtube: addr,
+        });
+        crawler.config.workers = workers;
+        crawler
+    }
+
     #[test]
     fn fetches_all_items_in_parallel() {
         let handler: Arc<dyn Handler> =
             Arc::new(|req: &Request| Response::html(format!("got {}", req.path())));
         let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let stats = CrawlStats::default();
+        let crawler = crawler_at(server.addr(), 8);
+        let run = PhaseRun::new(&crawler, crate::Phase::Social);
+        let store = CrawlStore::default();
         let items: Vec<usize> = (0..200).collect();
         let out = parallel_fetch(
+            &run,
+            &store,
             server.addr(),
             &items,
-            8,
-            &stats,
             |b| b,
             |client, &i| {
                 let r = client.get(&format!("/i/{i}")).ok()?;
@@ -165,16 +187,20 @@ mod tests {
         for (i, text) in &out {
             assert_eq!(text, &format!("got /i/{i}"));
         }
+        let cpu = crawler.metrics.snapshot().gauge("crawl.social.client_cpu_s");
+        assert!(cpu.is_some_and(|s| s > 0.0), "workers add their thread CPU: {cpu:?}");
     }
 
     #[test]
     fn worker_failures_are_skipped_not_fatal() {
         let handler: Arc<dyn Handler> = Arc::new(|_: &Request| Response::not_found());
         let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let stats = CrawlStats::default();
+        let crawler = crawler_at(server.addr(), 2);
+        let run = PhaseRun::new(&crawler, crate::Phase::Social);
+        let store = CrawlStore::default();
         let items = vec![1, 2, 3];
         let out: Vec<u32> =
-            parallel_fetch(server.addr(), &items, 2, &stats, |b| b, |client, &i| {
+            parallel_fetch(&run, &store, server.addr(), &items, |b| b, |client, &i| {
                 let r = client.get("/x").ok()?;
                 r.status.is_success().then_some(i)
             });
@@ -187,13 +213,15 @@ mod tests {
             Response::html(req.cookie("session").unwrap_or("none").to_owned())
         });
         let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let stats = CrawlStats::default();
+        let crawler = crawler_at(server.addr(), 1);
+        let run = PhaseRun::new(&crawler, crate::Phase::Social);
+        let store = CrawlStore::default();
         let items = vec![()];
         let out = parallel_fetch(
+            &run,
+            &store,
             server.addr(),
             &items,
-            1,
-            &stats,
             |b| b.cookie("session", "crawler:nsfw"),
             |client, _| client.get("/").ok().map(|r| r.text()),
         );
@@ -213,13 +241,7 @@ mod tests {
         )
         .unwrap();
         let addr = server.addr();
-        let mut crawler = crate::Crawler::new(crate::Endpoints {
-            dissenter: addr,
-            gab: addr,
-            reddit: addr,
-            youtube: addr,
-        });
-        crawler.config.workers = 1;
+        let mut crawler = crawler_at(addr, 1);
         crawler.config.backoff = std::time::Duration::from_millis(1);
         let run = PhaseRun::new(&crawler, crate::Phase::Probe);
         let store = CrawlStore::default();
@@ -283,13 +305,16 @@ mod tests {
         let handler: Arc<dyn Handler> =
             Arc::new(|req: &Request| Response::html(format!("got {}", req.path())));
         let server = Server::start(handler, ServerConfig::default()).unwrap();
-        let stats = CrawlStats::default();
+        let crawler = crawler_at(server.addr(), 4);
+        let run = PhaseRun::new(&crawler, crate::Phase::Social);
+        let store = CrawlStore::default();
+        let stats = &store.stats;
         let items: Vec<usize> = (0..40).collect();
         let out = parallel_fetch(
+            &run,
+            &store,
             server.addr(),
             &items,
-            4,
-            &stats,
             |b| b,
             |client, &i| {
                 let r = client.get(&format!("/i/{i}")).ok()?;

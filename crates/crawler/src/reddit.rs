@@ -16,10 +16,10 @@ pub fn crawl_reddit(crawler: &Crawler, store: &mut CrawlStore) {
     names.sort();
     let run = PhaseRun::new(crawler, Phase::Reddit);
     let matches = crate::parallel::parallel_fetch(
+        &run,
+        store,
         crawler.endpoints.reddit,
         &names,
-        crawler.config.workers,
-        &store.stats,
         |b| run.setup_client(b),
         |client, name| {
             let about = run.fetch(client, store, &format!("/user/{name}/about"))?;

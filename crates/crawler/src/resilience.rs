@@ -272,6 +272,9 @@ struct PhaseCounters {
     dead_lettered: obs::Counter,
     throttle_sleeps: obs::Counter,
     retry_after_clamped: obs::Counter,
+    /// `crawl.<phase>.client_cpu_s`: CPU seconds of the phase's client
+    /// worker threads. A gauge, because it varies run to run.
+    client_cpu: obs::Gauge,
 }
 
 impl PhaseCounters {
@@ -284,6 +287,7 @@ impl PhaseCounters {
             dead_lettered: registry.counter(&name("dead_lettered")),
             throttle_sleeps: registry.counter(&name("throttle_sleeps")),
             retry_after_clamped: registry.counter(&name("retry_after_clamped")),
+            client_cpu: registry.gauge(&name("client_cpu_s")),
         }
     }
 }
@@ -331,6 +335,11 @@ impl<'a> PhaseRun<'a> {
     /// Worker threads per phase.
     pub(crate) fn workers(&self) -> usize {
         self.crawler.config.workers
+    }
+
+    /// The phase's `crawl.<phase>.client_cpu_s` gauge.
+    pub(crate) fn client_cpu(&self) -> &obs::Gauge {
+        &self.metrics.client_cpu
     }
 
     /// Retry budget left for this phase.

@@ -28,10 +28,10 @@ pub fn shadow_crawl(crawler: &Crawler, store: &mut CrawlStore) {
     };
     let run = PhaseRun::new(crawler, Phase::Shadow);
     let confirmations = crate::parallel::parallel_fetch(
+        &run,
+        store,
         crawler.endpoints.dissenter,
         &labeled,
-        crawler.config.workers,
-        &store.stats,
         |b| run.setup_client(b),
         |client, &(id, label)| {
             client.clear_cookies();

@@ -36,10 +36,10 @@ pub fn crawl_social(crawler: &Crawler, store: &mut CrawlStore) {
 
     let run = PhaseRun::new(crawler, Phase::Social);
     let edge_lists = crate::parallel::parallel_fetch(
+        &run,
+        store,
         crawler.endpoints.gab,
         &targets,
-        crawler.config.workers,
-        &store.stats,
         |b| run.setup_client(b),
         |client, (username, gab_id)| {
             let mut edges: Vec<(String, String)> = Vec::new();

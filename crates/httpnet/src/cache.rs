@@ -351,24 +351,9 @@ impl RevalidationCache {
         Some((*held).clone())
     }
 
-    /// Every held `(key, full 200 representation)` pair, sorted by key.
-    /// This is the durable-journal export: a resumed crawl imports the
-    /// pairs back via [`RevalidationCache::store`] so `If-None-Match`
-    /// revalidation survives a crash.
-    pub fn export_entries(&self) -> Vec<(String, Response)> {
-        let mut out: Vec<(String, Response)> = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap();
-            out.extend(shard.map.iter().map(|(k, (_, r))| (k.clone(), (**r).clone())));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Visit every held entry in key order without cloning bodies — the
-    /// journal calls this at each phase commit, where
-    /// [`RevalidationCache::export_entries`]'s full-cache clone would
-    /// dominate the commit. Entries are gathered shard by shard (cheap
+    /// journal calls this at each phase commit, where a full-cache clone
+    /// would dominate the commit. Entries are gathered shard by shard (cheap
     /// `Arc` bumps) and visited with no lock held, so `f` may call back
     /// into the cache.
     pub fn for_each_entry(&self, mut f: impl FnMut(&str, &Response)) {
@@ -510,9 +495,6 @@ mod tests {
             assert_eq!(cache.etag_for(&key), Some(format_etag(i)));
             assert_eq!(cache.take_revalidated(&key).unwrap().text(), format!("body {i}"));
         }
-        let exported = cache.export_entries();
-        assert_eq!(exported.len(), 64);
-        assert!(exported.windows(2).all(|w| w[0].0 < w[1].0), "export sorted by key");
         let mut walked = Vec::new();
         cache.for_each_entry(|k, _| walked.push(k.to_owned()));
         assert_eq!(walked.len(), 64);

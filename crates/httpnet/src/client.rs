@@ -12,7 +12,7 @@
 
 use crate::cache::RevalidationCache;
 use crate::cpool::{ConnPool, PooledConn};
-use crate::http::{read_response, write_requests, Request, Response, Status, WireError};
+use crate::http::{write_requests, Request, Response, Status, WireError};
 use std::fmt;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -404,12 +404,12 @@ impl Client {
     ) -> Result<Vec<Answer>, ClientError> {
         let io = |e| ClientError::Wire(WireError::Io(e));
         conn.set_read_timeout(self.timeout).map_err(io)?;
-        write_requests(reqs, conn.get_mut()).map_err(io)?;
+        write_requests(reqs, &mut conn.stream()).map_err(io)?;
         let mut answers = Vec::with_capacity(reqs.len());
-        let first = read_response(&mut *conn).map_err(ClientError::Wire)?;
+        let first = conn.read_response().map_err(ClientError::Wire)?;
         answers.push((Ok(first), started.elapsed()));
         while answers.len() < reqs.len() {
-            match read_response(&mut *conn) {
+            match conn.read_response() {
                 Ok(r) => answers.push((Ok(r), started.elapsed())),
                 Err(_) => return Ok(answers),
             }
@@ -742,7 +742,7 @@ mod tests {
         let parked_timeout = || {
             let (conn, reused) = pool.acquire(server.addr(), slow).unwrap();
             assert!(reused, "the exchange parked its connection");
-            let t = conn.get_ref().read_timeout().unwrap();
+            let t = conn.stream().read_timeout().unwrap();
             pool.release(server.addr(), conn);
             t
         };

@@ -13,14 +13,19 @@
 //!   dropped (counted as evictions).
 //! * **Idle timeout** — a connection idle longer than
 //!   [`PoolConfig::idle_timeout`] is never handed out; it is closed and
-//!   counted under `pool.evicted` at the next checkout (plus whenever
-//!   [`ConnPool::evict_idle`] runs).
+//!   counted under `pool.evicted` at the next checkout.
 //! * **LIFO reuse** — the most recently returned connection is handed
 //!   out first, so the warmest socket is reused and stale ones age out
 //!   at the bottom of the stack.
 //! * A checked-out connection is owned by the caller; only a successful
 //!   response should check it back in (a failed exchange leaves the
 //!   socket in an unknown wire state, so the caller must drop it).
+//! * A [`PooledConn`] owns its socket and its read buffer. Responses
+//!   are parsed in place from that buffer with
+//!   [`crate::http::parse_response`] ([`PooledConn::read_response`]), so
+//!   a pipelined batch that arrived in one read is split into messages
+//!   without another copy; bytes the peer sent past the last response
+//!   stay buffered with the connection.
 //! * A [`PooledConn`] remembers the read timeout last applied to its
 //!   socket, so clients sharing a pool each get their own timeout while
 //!   a reused connection pays the `setsockopt` only when it changes.
@@ -29,11 +34,10 @@
 //! (see [`ConnPool::stats`]) and mirrored into an [`obs::Registry`] when
 //! constructed via [`ConnPool::with_metrics`].
 
+use crate::http::{ReadBuf, Response, WireError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,39 +71,38 @@ pub struct PoolStats {
     pub idle: usize,
 }
 
-/// A checked-out connection: the buffered stream plus the read timeout
-/// last applied to its socket. Set the timeout through
-/// [`PooledConn::set_read_timeout`] so the record stays true; the stream
-/// itself is reached through `Deref`.
+/// A checked-out connection: the socket, its read buffer, and the read
+/// timeout last applied to the socket. Set the timeout through
+/// [`PooledConn::set_read_timeout`] so the record stays true; write
+/// through [`PooledConn::stream`] and read through
+/// [`PooledConn::read_response`].
 #[derive(Debug)]
 pub struct PooledConn {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    buf: ReadBuf,
     read_timeout: Option<Duration>,
 }
 
 impl PooledConn {
+    /// The socket, for writing requests (`&TcpStream` is `Write`).
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
     /// Make `timeout` the socket's read timeout, calling into the kernel
     /// only when it differs from the one last applied.
     pub fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
         if self.read_timeout != Some(timeout) {
-            self.reader.get_ref().set_read_timeout(Some(timeout))?;
+            self.stream.set_read_timeout(Some(timeout))?;
             self.read_timeout = Some(timeout);
         }
         Ok(())
     }
-}
 
-impl Deref for PooledConn {
-    type Target = BufReader<TcpStream>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.reader
-    }
-}
-
-impl DerefMut for PooledConn {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.reader
+    /// The next response on this connection, parsed in place from its
+    /// read buffer (reading the socket until one is complete).
+    pub fn read_response(&mut self) -> Result<Response, WireError> {
+        self.buf.read_response(&mut &self.stream)
     }
 }
 
@@ -200,7 +203,7 @@ impl ConnPool {
             m.open.inc();
         }
         // A fresh socket has no read timeout.
-        Ok(PooledConn { reader: BufReader::new(stream), read_timeout: None })
+        Ok(PooledConn { stream, buf: ReadBuf::default(), read_timeout: None })
     }
 
     /// Return a healthy connection for later reuse. Dropped (and counted
@@ -220,30 +223,6 @@ impl ConnPool {
         if dropped > 0 {
             self.count_evicted(dropped);
         }
-    }
-
-    /// Close every idle connection that has outlived the idle timeout,
-    /// across all hosts. Returns how many were evicted. (Expired
-    /// connections are also skipped-and-evicted lazily at checkout; this
-    /// exists for callers that want bounded idle fd counts without
-    /// traffic.)
-    pub fn evict_idle(&self) -> u64 {
-        let cutoff = Instant::now();
-        let timeout = self.inner.config.idle_timeout;
-        let mut dropped = 0u64;
-        {
-            let mut hosts = self.inner.hosts.lock();
-            for stack in hosts.values_mut() {
-                let before = stack.len();
-                stack.retain(|c| cutoff.duration_since(c.since) <= timeout);
-                dropped += (before - stack.len()) as u64;
-            }
-            hosts.retain(|_, stack| !stack.is_empty());
-        }
-        if dropped > 0 {
-            self.count_evicted(dropped);
-        }
-        dropped
     }
 
     /// Activity counters and the current idle population.
@@ -354,24 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_idle_sweeps_without_traffic() {
-        let server = pong_server();
-        let pool = ConnPool::new(PoolConfig {
-            idle_timeout: Duration::from_millis(20),
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            let conn = pool.connect_fresh(server.addr(), Duration::from_secs(1)).unwrap();
-            pool.release(server.addr(), conn);
-        }
-        assert_eq!(pool.stats().idle, 3);
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(pool.evict_idle(), 3);
-        let stats = pool.stats();
-        assert_eq!((stats.idle, stats.evicted), (0, 3));
-    }
-
-    #[test]
     fn metrics_mirror_pool_counters() {
         let server = pong_server();
         let registry = obs::Registry::new();
@@ -398,18 +359,18 @@ mod tests {
         let (mut conn, _) = pool.acquire(server.addr(), Duration::from_secs(1)).unwrap();
         let (a, b) = (Duration::from_secs(3), Duration::from_secs(4));
         conn.set_read_timeout(a).unwrap();
-        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(a));
+        assert_eq!(conn.stream().read_timeout().unwrap(), Some(a));
         // Change the socket behind the record's back: re-applying the
         // recorded timeout is skipped, so the kernel keeps `b`.
-        conn.get_ref().set_read_timeout(Some(b)).unwrap();
+        conn.stream().set_read_timeout(Some(b)).unwrap();
         conn.set_read_timeout(a).unwrap();
-        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(b), "unchanged timeout skipped");
+        assert_eq!(conn.stream().read_timeout().unwrap(), Some(b), "unchanged timeout skipped");
         // The record survives a trip through the pool.
         pool.release(server.addr(), conn);
         let (mut conn, reused) = pool.acquire(server.addr(), Duration::from_secs(1)).unwrap();
         assert!(reused);
         conn.set_read_timeout(a).unwrap();
-        assert_eq!(conn.get_ref().read_timeout().unwrap(), Some(b));
+        assert_eq!(conn.stream().read_timeout().unwrap(), Some(b));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Maximum accepted request-line / header-line length in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -246,14 +246,6 @@ impl Response {
         r
     }
 
-    /// Convert this response into its `304 Not Modified` form: same
-    /// headers (validators preserved), empty body.
-    pub fn into_not_modified(mut self) -> Self {
-        self.status = Status::NOT_MODIFIED;
-        self.body.clear();
-        self
-    }
-
     /// The response's strong `ETag`, if any.
     pub fn etag(&self) -> Option<&str> {
         self.headers.get("etag")
@@ -311,67 +303,6 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-fn read_line<R: BufRead>(r: &mut R) -> Result<String, WireError> {
-    // Scan the reader's internal buffer for the newline instead of
-    // pulling one byte at a time — this is the client's hot path.
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let (done, used) = {
-            let available = match r.fill_buf() {
-                Ok(buf) => buf,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::Io(e)),
-            };
-            if available.is_empty() {
-                if line.is_empty() {
-                    return Err(WireError::Eof);
-                }
-                return Err(WireError::Malformed("truncated line"));
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    line.extend_from_slice(&available[..i]);
-                    (true, i + 1)
-                }
-                None => {
-                    line.extend_from_slice(available);
-                    (false, available.len())
-                }
-            }
-        };
-        r.consume(used);
-        if line.len() > MAX_LINE {
-            return Err(WireError::Malformed("line too long"));
-        }
-        if done {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return Ok(String::from_utf8_lossy(&line).into_owned());
-        }
-    }
-}
-
-fn read_headers<R: BufRead>(r: &mut R) -> Result<Headers, WireError> {
-    let mut headers = Headers::new();
-    loop {
-        let line = read_line(r)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(WireError::Malformed("too many headers"));
-        }
-        let mut it = line.splitn(2, ':');
-        let name = it.next().unwrap_or("").trim();
-        let value = it.next().ok_or(WireError::Malformed("header missing colon"))?.trim();
-        if name.is_empty() {
-            return Err(WireError::Malformed("empty header name"));
-        }
-        headers.add(name, value);
-    }
-}
-
 /// Strict `Content-Length` extraction (RFC 9112 §6.2-adjacent).
 ///
 /// `usize::from_str` accepts `+10` and surrounding unicode whitespace —
@@ -401,56 +332,102 @@ pub fn content_length(headers: &Headers) -> Result<Option<usize>, WireError> {
     Ok(found)
 }
 
-fn read_body<R: BufRead>(r: &mut R, headers: &Headers) -> Result<Vec<u8>, WireError> {
-    let len: usize = match content_length(headers)? {
-        None => return Ok(Vec::new()),
-        Some(len) => len,
-    };
-    if len > MAX_BODY {
-        return Err(WireError::Malformed("body too large"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Malformed("truncated body")
-        } else {
-            WireError::Io(e)
-        }
-    })?;
-    Ok(body)
-}
-
-/// Read one request from a buffered stream.
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, WireError> {
-    let line = read_line(r)?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or(WireError::Malformed("empty request line"))?;
-    let target = parts.next().ok_or(WireError::Malformed("missing target"))?;
-    let version = parts.next().ok_or(WireError::Malformed("missing version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(WireError::Malformed("unsupported version"));
-    }
-    let headers = read_headers(r)?;
-    let body = read_body(r, &headers)?;
-    Ok(Request { method: method.to_owned(), target: target.to_owned(), headers, body })
-}
-
-/// Read one response from a buffered stream.
+/// Read one response from a buffered stream: [`parse_response`] over
+/// the reader's buffer, holding a copy only while a message spans more
+/// than one fill. Consumes exactly the message's bytes, so pipelined
+/// responses read back one call at a time. End of stream before any
+/// byte is [`WireError::Eof`]; inside a message it is malformed.
 pub fn read_response<R: BufRead>(r: &mut R) -> Result<Response, WireError> {
-    let line = read_line(r)?;
-    let mut parts = line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(WireError::Malformed("unsupported version"));
+    let mut held: Vec<u8> = Vec::new();
+    loop {
+        let avail = match r.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(WireError::Io(e)),
+        };
+        if avail.is_empty() {
+            let truncated = WireError::Malformed("truncated message");
+            return Err(if held.is_empty() { WireError::Eof } else { truncated });
+        }
+        let fresh = avail.len();
+        let parsed = if held.is_empty() {
+            parse_response(avail)?
+        } else {
+            held.extend_from_slice(avail);
+            parse_response(&held)?
+        };
+        let before = held.len().saturating_sub(fresh);
+        match parsed {
+            Some((resp, used)) => {
+                r.consume(used - before);
+                return Ok(resp);
+            }
+            None => {
+                if held.is_empty() {
+                    held.extend_from_slice(avail);
+                }
+                r.consume(fresh);
+            }
+        }
     }
-    let code: u16 = parts
-        .next()
-        .ok_or(WireError::Malformed("missing status"))?
-        .parse()
-        .map_err(|_| WireError::Malformed("bad status code"))?;
-    let headers = read_headers(r)?;
-    let body = read_body(r, &headers)?;
-    Ok(Response { status: Status(code), headers, body })
+}
+
+/// First size of a connection's read buffer; it grows only while one
+/// message does not fit.
+const READ_BUF: usize = 16 * 1024;
+
+/// A connection's read buffer: bytes read off the peer and not yet
+/// parsed, `buf[start..end]`. Responses are parsed in place from it with
+/// [`parse_response`], so a pipelined batch that arrived in one read is
+/// split into messages without another copy, and each body is copied out
+/// once.
+#[derive(Debug, Default)]
+pub(crate) struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    /// The next response from `r`: parsed from the buffered bytes when
+    /// they already hold one, otherwise after as many reads as it takes.
+    pub(crate) fn read_response(&mut self, r: &mut impl Read) -> Result<Response, WireError> {
+        loop {
+            if let Some((resp, used)) = parse_response(&self.buf[self.start..self.end])? {
+                self.start += used;
+                if self.start == self.end {
+                    (self.start, self.end) = (0, 0);
+                }
+                return Ok(resp);
+            }
+            self.fill(r)?;
+        }
+    }
+
+    /// One `read` into the free tail, first moving a partial message to
+    /// the front or, when it already starts there, doubling the buffer.
+    fn fill(&mut self, r: &mut impl Read) -> Result<(), WireError> {
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            } else {
+                self.buf.resize((2 * self.buf.len()).max(READ_BUF), 0);
+            }
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.start == self.end => return Err(WireError::Eof),
+                Ok(0) => return Err(WireError::Malformed("truncated message")),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
+            }
+        }
+    }
 }
 
 /// Serialize a request — request line, headers (adding `Content-Length`
@@ -536,8 +513,7 @@ fn write_once<W: Write>(w: &mut W, fill: impl FnOnce(&mut Vec<u8>)) -> std::io::
 /// request (over-limit or malformed). No intermediate line buffers: the
 /// head is parsed in place and only the owned `Request` fields allocate.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> {
-    // --- request line ---
-    let Some((line, mut pos)) = next_line(buf, 0)? else { return Ok(None) };
+    let Some((line, pos)) = next_line(buf, 0)? else { return Ok(None) };
     let line = std::str::from_utf8(line).map_err(|_| WireError::Malformed("bad request line"))?;
     let mut parts = line.split_whitespace();
     let method = parts.next().filter(|m| !m.is_empty());
@@ -547,8 +523,34 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
     if !version.starts_with("HTTP/1.") {
         return Err(WireError::Malformed("unsupported version"));
     }
+    let Some((headers, body, used)) = parse_rest(buf, pos)? else { return Ok(None) };
+    Ok(Some((Request { method: method.to_owned(), target: target.to_owned(), headers, body }, used)))
+}
 
-    // --- headers ---
+/// Incremental response parse: [`parse_request`]'s contract for a
+/// response. The client parses pipelined responses in place off its
+/// connection buffer with this; the body is copied out of `buf` once.
+pub fn parse_response(buf: &[u8]) -> Result<Option<(Response, usize)>, WireError> {
+    let Some((line, pos)) = next_line(buf, 0)? else { return Ok(None) };
+    let line = String::from_utf8_lossy(line);
+    let mut parts = line.splitn(3, ' ');
+    if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
+        return Err(WireError::Malformed("unsupported version"));
+    }
+    let code: u16 = parts
+        .next()
+        .ok_or(WireError::Malformed("missing status"))?
+        .parse()
+        .map_err(|_| WireError::Malformed("bad status code"))?;
+    let Some((headers, body, used)) = parse_rest(buf, pos)? else { return Ok(None) };
+    Ok(Some((Response { status: Status(code), headers, body }, used)))
+}
+
+/// The part both message kinds share: the header lines from `pos` to the
+/// blank line, then a `Content-Length` body. Returns the headers, the
+/// body and the offset just past the message, or `None` while either is
+/// incomplete.
+fn parse_rest(buf: &[u8], mut pos: usize) -> Result<Option<(Headers, Vec<u8>, usize)>, WireError> {
     let mut headers = Headers::new();
     loop {
         let Some((line, next)) = next_line(buf, pos)? else { return Ok(None) };
@@ -568,20 +570,12 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
         }
         headers.add(name, value);
     }
-
-    // --- body ---
     let len = content_length(&headers)?.unwrap_or(0);
     if len > MAX_BODY {
         return Err(WireError::Malformed("body too large"));
     }
-    if buf.len() < pos + len {
-        return Ok(None);
-    }
-    let body = buf[pos..pos + len].to_vec();
-    Ok(Some((
-        Request { method: method.to_owned(), target: target.to_owned(), headers, body },
-        pos + len,
-    )))
+    let Some(body) = buf.get(pos..pos + len) else { return Ok(None) };
+    Ok(Some((headers, body.to_vec(), pos + len)))
 }
 
 /// Find the next `\n`-terminated line starting at `start`: returns the
@@ -640,7 +634,9 @@ mod tests {
     fn round_trip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
         write_request(req, &mut buf).unwrap();
-        read_request(&mut BufReader::new(&buf[..])).unwrap()
+        let (got, used) = parse_request(&buf).unwrap().expect("complete");
+        assert_eq!(used, buf.len());
+        got
     }
 
     #[test]
@@ -695,29 +691,33 @@ mod tests {
             "GET / HTTP/2.0\r\n\r\n",
             "GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",
         ] {
-            let r = read_request(&mut BufReader::new(bad.as_bytes()));
-            assert!(r.is_err(), "{bad:?}");
+            assert!(parse_request(bad.as_bytes()).is_err(), "{bad:?}");
         }
     }
 
     #[test]
     fn eof_before_any_bytes_is_eof_variant() {
-        let e = read_request(&mut BufReader::new(&b""[..])).unwrap_err();
+        let e = read_response(&mut &b""[..]).unwrap_err();
+        assert!(matches!(e, WireError::Eof));
+        let e = ReadBuf::default().read_response(&mut &b""[..]).unwrap_err();
         assert!(matches!(e, WireError::Eof));
     }
 
     #[test]
     fn oversized_body_rejected() {
-        let msg = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
-        assert!(matches!(r, Err(WireError::Malformed(_))));
+        let msg = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let r = read_response(&mut msg.as_bytes());
+        assert!(matches!(r, Err(WireError::Malformed("body too large"))), "{r:?}");
     }
 
     #[test]
     fn truncated_body_detected() {
-        let msg = "GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
-        assert!(matches!(r, Err(WireError::Malformed("truncated body"))));
+        let msg = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc";
+        let r = read_response(&mut BufReader::with_capacity(4, &msg[..]));
+        assert!(matches!(r, Err(WireError::Malformed("truncated message"))), "{r:?}");
+        let r = ReadBuf::default().read_response(&mut &msg[..]);
+        assert!(matches!(r, Err(WireError::Malformed("truncated message"))), "{r:?}");
+        assert!(parse_response(msg).unwrap().is_none(), "a parse waits for the rest");
     }
 
     #[test]
@@ -751,7 +751,7 @@ mod tests {
         let mut full = Response::html("<html>big page</html>".into());
         full.headers.add("ETag", "\"abc\"");
         full.headers.add("Cache-Control", "private, max-age=0, must-revalidate");
-        let nm = full.clone().into_not_modified();
+        let nm = Response::not_modified(full.headers.clone());
         assert_eq!(nm.status, Status::NOT_MODIFIED);
         assert!(nm.body.is_empty());
         assert_eq!(nm.etag(), Some("\"abc\""));
@@ -777,7 +777,7 @@ mod tests {
             );
         }
         let msg = "POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc";
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
+        let r = parse_request(msg.as_bytes());
         assert!(matches!(r, Err(WireError::Malformed("bad content-length"))), "{r:?}");
     }
 
@@ -786,11 +786,11 @@ mod tests {
         // Disagreeing duplicates are the request-smuggling classic: two
         // hops each believe a different body boundary.
         let msg = "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\nabc";
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
+        let r = parse_request(msg.as_bytes());
         assert!(matches!(r, Err(WireError::Malformed("conflicting content-length"))), "{r:?}");
         // Agreeing duplicates are redundant but harmless.
         let msg = "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
-        let req = read_request(&mut BufReader::new(msg.as_bytes())).unwrap();
+        let (req, _) = parse_request(msg.as_bytes()).unwrap().expect("complete");
         assert_eq!(req.body, b"abc");
     }
 
@@ -950,14 +950,17 @@ mod limit_tests {
             msg.push_str(&format!("X-H{i}: v\r\n"));
         }
         msg.push_str("\r\n");
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
+        let r = parse_request(msg.as_bytes());
+        assert!(matches!(r, Err(WireError::Malformed("too many headers"))));
+        let resp = msg.replacen("GET / HTTP/1.1", "HTTP/1.1 200 OK", 1);
+        let r = read_response(&mut BufReader::new(resp.as_bytes()));
         assert!(matches!(r, Err(WireError::Malformed("too many headers"))));
     }
 
     #[test]
     fn line_length_cap_enforced() {
-        let msg = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 10));
-        let r = read_request(&mut BufReader::new(msg.as_bytes()));
+        let msg = format!("HTTP/1.1 200 {}\r\n\r\n", "a".repeat(MAX_LINE + 10));
+        let r = read_response(&mut BufReader::new(msg.as_bytes()));
         assert!(matches!(r, Err(WireError::Malformed("line too long"))));
     }
 
@@ -1078,13 +1081,186 @@ mod pipeline_props {
                 wire.extend_from_slice(&resp.body);
             }
             let mut reader = BufReader::new(&wire[..]);
+            let mut pos = 0;
             for resp in &resps {
                 let got = read_response(&mut reader).unwrap();
                 prop_assert_eq!(got.status, resp.status);
-                prop_assert_eq!(got.headers, on_the_wire(&resp.headers, Some(resp.body.len())));
+                prop_assert_eq!(&got.headers, &on_the_wire(&resp.headers, Some(resp.body.len())));
                 prop_assert_eq!(&got.body, &resp.body);
+                let (parsed, used) = parse_response(&wire[pos..]).unwrap().expect("complete");
+                prop_assert!(same(&parsed, &got));
+                pos += used;
             }
+            prop_assert_eq!(pos, wire.len());
             prop_assert!(matches!(read_response(&mut reader), Err(WireError::Eof)));
+        }
+
+        #[test]
+        fn any_split_into_reads_yields_the_same_messages(
+            reqs in prop::collection::vec(
+                ("[a-z0-9/._-]{0,24}", "[a-z0-9]{0,12}", prop::collection::vec(any::<u8>(), 0..48)),
+                1..6,
+            ),
+            resps in prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
+                1..6,
+            ),
+            sizes in prop::collection::vec(1usize..40, 1..8),
+        ) {
+            // Requests, the way the reactor reads them: parse what has
+            // arrived after every read.
+            let reqs: Vec<Request> = reqs.into_iter().map(request).collect();
+            let mut wire = Vec::new();
+            write_requests(&reqs, &mut wire).unwrap();
+            let mut chunks = Chunked { wire: &wire, sizes: &sizes, reads: 0 };
+            let (mut arrived, mut got) = (Vec::new(), Vec::new());
+            let mut scratch = [0u8; 64];
+            loop {
+                while let Some((req, used)) = parse_request(&arrived).unwrap() {
+                    arrived.drain(..used);
+                    got.push(req);
+                }
+                let n = chunks.read(&mut scratch).unwrap();
+                if n == 0 {
+                    break;
+                }
+                arrived.extend_from_slice(&scratch[..n]);
+            }
+            prop_assert!(arrived.is_empty());
+            prop_assert_eq!(got.len(), reqs.len());
+            for (got, req) in got.iter().zip(&reqs) {
+                prop_assert_eq!(&got.target, &req.target);
+                prop_assert_eq!(&got.body, &req.body);
+            }
+
+            // Responses, through the client's connection buffer and
+            // through the `BufRead` adapter with a small buffer.
+            let resps: Vec<Response> = resps.into_iter().map(response).collect();
+            let mut wire = Vec::new();
+            for resp in &resps {
+                resp.write_to(&mut wire).unwrap();
+            }
+            let mut conn = ReadBuf::default();
+            let mut chunks = Chunked { wire: &wire, sizes: &sizes, reads: 0 };
+            let mut adapter =
+                BufReader::with_capacity(sizes[0], Chunked { wire: &wire, sizes: &sizes, reads: 0 });
+            for resp in &resps {
+                let a = conn.read_response(&mut chunks).unwrap();
+                let b = read_response(&mut adapter).unwrap();
+                prop_assert_eq!(a.status, resp.status);
+                prop_assert_eq!(&a.headers, &on_the_wire(&resp.headers, Some(resp.body.len())));
+                prop_assert_eq!(&a.body, &resp.body);
+                prop_assert!(same(&a, &b));
+            }
+            prop_assert!(matches!(conn.read_response(&mut chunks), Err(WireError::Eof)));
+            prop_assert!(matches!(read_response(&mut adapter), Err(WireError::Eof)));
+        }
+
+        #[test]
+        fn content_length_rejections_hold_for_both_kinds(
+            bad in prop_oneof![
+                "[+-][0-9]{1,6}",
+                "[1-9][0-9]{20,24}",
+                "[0-9]{1,3}[ .xe_][0-9]{1,3}",
+                Just(String::new()),
+            ],
+            a in 0usize..1000,
+            b in 0usize..1000,
+        ) {
+            let b = if a == b { b + 1 } else { b };
+            for head in [
+                format!("Content-Length: {bad}\r\n"),
+                format!("Content-Length: {a}\r\ncontent-length: {b}\r\n"),
+            ] {
+                let req = format!("POST / HTTP/1.1\r\n{head}\r\n");
+                let resp = format!("HTTP/1.1 200 OK\r\n{head}\r\n");
+                prop_assert!(matches!(parse_request(req.as_bytes()), Err(WireError::Malformed(_))));
+                prop_assert!(matches!(parse_response(resp.as_bytes()), Err(WireError::Malformed(_))));
+                prop_assert!(matches!(
+                    read_response(&mut resp.as_bytes()),
+                    Err(WireError::Malformed(_))
+                ));
+                prop_assert!(matches!(
+                    ReadBuf::default().read_response(&mut resp.as_bytes()),
+                    Err(WireError::Malformed(_))
+                ));
+            }
+        }
+
+        #[test]
+        fn read_response_over_a_slice_agrees_with_parse_response(
+            (kind, body) in (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
+            cut in any::<usize>(),
+            junk in prop::collection::vec(any::<u8>(), 0..24),
+            splice in any::<bool>(),
+        ) {
+            // A whole response, a prefix of one, or one with junk in place
+            // of its tail.
+            let mut wire = Vec::new();
+            response((kind, body)).write_to(&mut wire).unwrap();
+            wire.truncate(cut % (wire.len() + 1));
+            if splice {
+                wire.extend_from_slice(&junk);
+            }
+            let mut rest = &wire[..];
+            match (parse_response(&wire), read_response(&mut rest)) {
+                (Ok(Some((a, used))), Ok(b)) => {
+                    prop_assert!(same(&a, &b));
+                    prop_assert_eq!(rest.len(), wire.len() - used);
+                }
+                (Ok(None), Err(WireError::Eof)) => prop_assert!(wire.is_empty()),
+                (Ok(None), Err(WireError::Malformed("truncated message"))) => {
+                    prop_assert!(!wire.is_empty())
+                }
+                (Err(WireError::Malformed(a)), Err(WireError::Malformed(b))) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "parse {:?} vs read {:?}", a, b),
+            }
+        }
+    }
+
+    #[test]
+    fn the_connection_buffer_compacts_and_grows_under_large_pipelined_responses() {
+        // Bodies around and past the first buffer size, read in odd-sized
+        // pieces, so a partial message is moved to the front and the
+        // buffer doubles.
+        let resps: Vec<Response> = [10_000usize, 20_000, 5, 40_000, 3, READ_BUF]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| response((i as u8, (0..len).map(|b| (b * 7 + i) as u8).collect())))
+            .collect();
+        let mut wire = Vec::new();
+        for resp in &resps {
+            resp.write_to(&mut wire).unwrap();
+        }
+        let mut conn = ReadBuf::default();
+        let mut chunks = Chunked { wire: &wire, sizes: &[4093, 7, READ_BUF, 1, 9000], reads: 0 };
+        for resp in &resps {
+            let got = conn.read_response(&mut chunks).unwrap();
+            assert_eq!((got.status, &got.body), (resp.status, &resp.body));
+        }
+        assert!(matches!(conn.read_response(&mut chunks), Err(WireError::Eof)));
+    }
+
+    /// Equal status, headers and body.
+    fn same(a: &Response, b: &Response) -> bool {
+        a.status == b.status && a.headers == b.headers && a.body == b.body
+    }
+
+    /// A `Read` that hands out `wire` in reads of the given sizes, in
+    /// turn, the way a socket splits a stream.
+    struct Chunked<'a> {
+        wire: &'a [u8],
+        sizes: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.sizes[self.reads % self.sizes.len()].min(out.len()).min(self.wire.len());
+            self.reads += 1;
+            out[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The dependency policy forbids `libc`, so the handful of syscalls the
 //! reactor needs — `epoll_create1`, `epoll_ctl`, `epoll_pwait`, and
-//! `eventfd2` for cross-thread wakeups — are issued directly via inline
-//! assembly. Everything else (socket IO, accept, nonblocking mode) goes
-//! through `std::net`, which already exposes the required knobs.
+//! `eventfd2` for cross-thread wakeups — and the per-thread CPU clock
+//! ([`thread_cpu_time`]) are issued directly via inline assembly.
+//! Everything else (socket IO, accept, nonblocking mode) goes through
+//! `std::net`, which already exposes the required knobs.
 //!
 //! Only the two architectures this project is built on are wired up;
 //! adding another is a table of syscall numbers away.
@@ -26,6 +27,7 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
     pub const EVENTFD2: usize = 290;
+    pub const CLOCK_GETTIME: usize = 228;
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
@@ -37,6 +39,7 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 22;
     pub const EPOLL_CREATE1: usize = 20;
     pub const EVENTFD2: usize = 19;
+    pub const CLOCK_GETTIME: usize = 113;
 }
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -271,11 +274,43 @@ impl Drop for EventFd {
     }
 }
 
+// -------------------------------------------------------------------------
+// Per-thread CPU clock.
+
+const CLOCK_THREAD_CPUTIME_ID: usize = 3;
+
+/// CPU time the calling thread has consumed so far
+/// (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`). Unlike wall time it does
+/// not grow while the thread waits or is descheduled, so it attributes
+/// work correctly on an oversubscribed host.
+pub fn thread_cpu_time() -> io::Result<std::time::Duration> {
+    // `struct timespec` on both supported 64-bit targets.
+    let mut ts = [0i64; 2];
+    let ts_ptr = ts.as_mut_ptr() as usize;
+    cvt(unsafe { syscall6(nr::CLOCK_GETTIME, CLOCK_THREAD_CPUTIME_ID, ts_ptr, 0, 0, 0, 0) })?;
+    Ok(std::time::Duration::new(ts[0] as u64, ts[1] as u32))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::os::fd::AsRawFd;
+
+    #[test]
+    fn thread_cpu_time_counts_work_not_sleep() {
+        let start = thread_cpu_time().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let slept = thread_cpu_time().unwrap() - start;
+        assert!(slept < std::time::Duration::from_millis(20), "sleeping burns no CPU: {slept:?}");
+        let mut x = 0u64;
+        while thread_cpu_time().unwrap() - start < std::time::Duration::from_millis(5) {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        // Another thread's clock starts from its own zero.
+        let other = std::thread::spawn(|| thread_cpu_time().unwrap()).join().unwrap();
+        assert!(other < thread_cpu_time().unwrap());
+    }
 
     #[test]
     fn epoll_reports_readable_pipe_end() {

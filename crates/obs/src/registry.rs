@@ -47,6 +47,14 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Add `v` to the value (a total several threads contribute to,
+    /// such as per-thread CPU seconds).
+    pub fn add(&self, v: f64) {
+        let _ = self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            Some((f64::from_bits(bits) + v).to_bits())
+        });
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -351,6 +359,18 @@ mod tests {
         r.set_gauge("g", 1.5);
         r.set_gauge("g", 2.5);
         assert_eq!(r.snapshot().gauge("g"), Some(2.5));
+    }
+
+    #[test]
+    fn gauge_adds_from_many_threads_sum() {
+        let r = Registry::new();
+        let g = r.gauge("cpu_s");
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..1000).for_each(|_| g.add(0.5)));
+            }
+        });
+        assert_eq!(r.snapshot().gauge("cpu_s"), Some(2000.0));
     }
 
     #[test]

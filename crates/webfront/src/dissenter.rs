@@ -8,6 +8,7 @@ use ids::ObjectId;
 use parking_lot::Mutex;
 use platform::{Clock, RateLimiter, World};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Front-level vote tallies layered over the immutable world's counts
@@ -197,21 +198,24 @@ fn user_page(world: &World, _req: &Request, p: &Params) -> Response {
     body.push_str("<html><head><title>Dissenter</title>");
     body.push_str(page_chrome());
     body.push_str("</head><body>");
-    body.push_str(&format!(
+    // Writing into a String cannot fail.
+    let _ = write!(
+        body,
         "<div class=\"profile\" data-author-id=\"{}\"><h1>@{}</h1><h2>{}</h2><p class=\"bio\">{}</p></div>",
         author_id,
         user.username,
-        html_escape(&user.display_name),
-        html_escape(&user.bio)
-    ));
+        Escaped(&user.display_name),
+        Escaped(&user.bio)
+    );
     body.push_str("<ul class=\"commented-urls\">");
     for u in urls {
-        body.push_str(&format!(
+        let _ = write!(
+            body,
             "<li><a href=\"/url/{}\" data-commenturl-id=\"{}\">{}</a></li>",
             u.id,
             u.id,
-            html_escape(&u.url)
-        ));
+            Escaped(&u.url)
+        );
     }
     body.push_str("</ul></body></html>");
     Response::html(body)
@@ -229,27 +233,29 @@ fn comment_page(world: &World, votes: &VoteOverlay, req: &Request, p: &Params) -
     let (extra_up, extra_down) = votes.lock().get(&cuid).copied().unwrap_or((0, 0));
     let mut body = String::with_capacity(4096);
     body.push_str("<html><head><title>");
-    body.push_str(&html_escape(&url.title));
-    body.push_str("</title></head><body>");
-    body.push_str(&format!(
+    // Writing into a String cannot fail.
+    let _ = write!(body, "{}</title></head><body>", Escaped(&url.title));
+    let _ = write!(
+        body,
         "<div class=\"thread\" data-commenturl-id=\"{}\" data-url=\"{}\" data-upvotes=\"{}\" data-downvotes=\"{}\" data-comment-count=\"{}\"><p class=\"description\">{}</p></div>",
         url.id,
-        html_escape(&url.url),
+        Escaped(&url.url),
         url.upvotes as u64 + extra_up,
         url.downvotes as u64 + extra_down,
         world.dissenter.comment_count(cuid),
-        html_escape(&url.description),
-    ));
+        Escaped(&url.description),
+    );
     body.push_str("<ol class=\"comments\">");
     for c in comments {
-        body.push_str(&format!(
+        let _ = write!(
+            body,
             "<li class=\"comment\" data-comment-id=\"{}\" data-author-id=\"{}\" data-parent=\"{}\" data-created=\"{}\"><p>{}</p></li>",
             c.id,
             c.author_id,
             c.parent.map(|p| p.to_hex()).unwrap_or_default(),
             c.created_at,
-            html_escape(&c.text),
-        ));
+            Escaped(&c.text),
+        );
     }
     body.push_str("</ol></body></html>");
     Response::html(body)
@@ -269,12 +275,14 @@ fn single_comment_page(world: &World, req: &Request, p: &Params) -> Response {
     let author_idx = world.user_by_author_id(comment.author_id);
     let mut body = String::with_capacity(2048);
     body.push_str("<html><head><title>Comment</title></head><body>");
-    body.push_str(&format!(
+    // Writing into a String cannot fail.
+    let _ = write!(
+        body,
         "<div class=\"comment\" data-comment-id=\"{}\" data-author-id=\"{}\"><p>{}</p></div>",
         comment.id,
         comment.author_id,
-        html_escape(&comment.text)
-    ));
+        Escaped(&comment.text)
+    );
     // The quirk §3.2 exploits: a commented-out JavaScript variable with
     // otherwise-undiscoverable user metadata.
     if let Some(idx) = author_idx {
@@ -377,14 +385,34 @@ fn discussion_begin(world: &World, req: &Request) -> Response {
             // New URL: an empty discussion page inviting the first comment.
             Response::html(format!(
                 "<html><body><div class=\"thread\" data-url=\"{}\" data-comment-count=\"0\"></div><p>No comments yet.</p></body></html>",
-                html_escape(&url)
+                Escaped(&url)
             ))
         }
     }
 }
 
-fn html_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
+/// `s` with `&`, `<`, `>` and `"` escaped as entities, for HTML text and
+/// attribute values. Formatting it writes the escaped text in one pass
+/// straight into the page being built.
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut last = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            let entity = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                _ => continue,
+            };
+            f.write_str(&self.0[last..i])?;
+            f.write_str(entity)?;
+            last = i + 1;
+        }
+        f.write_str(&self.0[last..])
+    }
 }
 
 /// Build the `/discussion/begin` query target for a raw URL.
@@ -395,6 +423,7 @@ pub fn discussion_target(url: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn discussion_target_encodes_url() {
@@ -404,9 +433,30 @@ mod tests {
         assert!(!t.split_once('=').unwrap().1.contains('?'));
     }
 
+    /// The escape before the one-pass rewrite.
+    fn four_pass_escape(s: &str) -> String {
+        s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
+    }
+
     #[test]
-    fn html_escape_round_trip_critical_chars() {
-        assert_eq!(html_escape("<a href=\"x\">&"), "&lt;a href=&quot;x&quot;&gt;&amp;");
+    fn escape_critical_chars() {
+        assert_eq!(Escaped("<a href=\"x\">&").to_string(), "&lt;a href=&quot;x&quot;&gt;&amp;");
+    }
+
+    proptest! {
+        #[test]
+        fn escaped_agrees_with_the_four_pass_escape(
+            parts in prop::collection::vec(
+                prop_oneof![Just("&amp;".to_owned()), "[&<>\"=a ]{0,6}", "\\PC{0,6}"],
+                0..8,
+            )
+        ) {
+            let s = parts.concat();
+            prop_assert_eq!(Escaped(&s).to_string(), four_pass_escape(&s));
+            let mut page = String::from("<p>");
+            let _ = write!(page, "{}</p>", Escaped(&s));
+            prop_assert_eq!(page, format!("<p>{}</p>", four_pass_escape(&s)));
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn main() {
     let hidden = client
         .get(&format!("/url/{thread_id}"))
         .expect("thread page");
-    let scraped = crawler::spider::parse_comment_page(&hidden.text()).expect("parses");
+    let scraped = crawler::spider::parse_comment_page(&hidden.body).expect("parses");
     println!("authenticated fetch recovers {} hidden messages", scraped.1.len());
 
     // The measurement counter-move: the §4.2.1 census flags non-web

@@ -20,12 +20,12 @@
 //! * A checked-out connection is owned by the caller; only a successful
 //!   response should check it back in (a failed exchange leaves the
 //!   socket in an unknown wire state, so the caller must drop it).
-//! * A [`PooledConn`] owns its socket and its read buffer. Responses
-//!   are parsed in place from that buffer with
-//!   [`crate::http::parse_response`] ([`PooledConn::read_response`]), so
-//!   a pipelined batch that arrived in one read is split into messages
-//!   without another copy; bytes the peer sent past the last response
-//!   stay buffered with the connection.
+//! * A [`PooledConn`] owns its socket behind a 16 KiB `BufReader`.
+//!   [`PooledConn::read_response`] parses responses in place from that
+//!   buffer with [`crate::http::read_response`], so a pipelined batch
+//!   that arrived in one read is split into messages without another
+//!   copy; bytes the peer sent past the last response stay buffered
+//!   with the connection.
 //! * A [`PooledConn`] remembers the read timeout last applied to its
 //!   socket, so clients sharing a pool each get their own timeout while
 //!   a reused connection pays the `setsockopt` only when it changes.
@@ -34,13 +34,18 @@
 //! (see [`ConnPool::stats`]) and mirrored into an [`obs::Registry`] when
 //! constructed via [`ConnPool::with_metrics`].
 
-use crate::http::{ReadBuf, Response, WireError};
+use crate::http::{read_response, Response, WireError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Read buffer size of a pooled connection: a batch of pipelined comment
+/// pages (about 1 KB each) usually arrives and parses within one fill.
+const CONN_BUF: usize = 16 * 1024;
 
 /// Pool tuning knobs.
 #[derive(Debug, Clone)]
@@ -71,38 +76,37 @@ pub struct PoolStats {
     pub idle: usize,
 }
 
-/// A checked-out connection: the socket, its read buffer, and the read
-/// timeout last applied to the socket. Set the timeout through
+/// A checked-out connection: the buffered socket and the read timeout
+/// last applied to it. Set the timeout through
 /// [`PooledConn::set_read_timeout`] so the record stays true; write
 /// through [`PooledConn::stream`] and read through
 /// [`PooledConn::read_response`].
 #[derive(Debug)]
 pub struct PooledConn {
-    stream: TcpStream,
-    buf: ReadBuf,
+    reader: BufReader<TcpStream>,
     read_timeout: Option<Duration>,
 }
 
 impl PooledConn {
     /// The socket, for writing requests (`&TcpStream` is `Write`).
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        self.reader.get_ref()
     }
 
     /// Make `timeout` the socket's read timeout, calling into the kernel
     /// only when it differs from the one last applied.
     pub fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
         if self.read_timeout != Some(timeout) {
-            self.stream.set_read_timeout(Some(timeout))?;
+            self.reader.get_ref().set_read_timeout(Some(timeout))?;
             self.read_timeout = Some(timeout);
         }
         Ok(())
     }
 
     /// The next response on this connection, parsed in place from its
-    /// read buffer (reading the socket until one is complete).
+    /// buffer (reading the socket until one is complete).
     pub fn read_response(&mut self) -> Result<Response, WireError> {
-        self.buf.read_response(&mut &self.stream)
+        read_response(&mut self.reader)
     }
 }
 
@@ -203,7 +207,7 @@ impl ConnPool {
             m.open.inc();
         }
         // A fresh socket has no read timeout.
-        Ok(PooledConn { stream, buf: ReadBuf::default(), read_timeout: None })
+        Ok(PooledConn { reader: BufReader::with_capacity(CONN_BUF, stream), read_timeout: None })
     }
 
     /// Return a healthy connection for later reuse. Dropped (and counted
@@ -298,6 +302,26 @@ mod tests {
         assert!(reused, "released connection must be handed back out");
         let stats = pool.stats();
         assert_eq!((stats.open, stats.reuse, stats.idle), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_connection_that_read_a_large_body_is_reused() {
+        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+            let len = if req.path() == "/big" { 10 * CONN_BUF + 3 } else { 4 };
+            Response::html("x".repeat(len))
+        });
+        let server = Server::start(handler, ServerConfig::default()).unwrap();
+        let pool = ConnPool::new(PoolConfig::default());
+        for (path, len, reused) in [("/big", 10 * CONN_BUF + 3, false), ("/small", 4, true)] {
+            let (mut conn, was_reused) = pool.acquire(server.addr(), Duration::from_secs(1)).unwrap();
+            assert_eq!(was_reused, reused);
+            conn.set_read_timeout(Duration::from_secs(5)).unwrap();
+            crate::http::write_request(&Request::get(path), &mut conn.stream()).unwrap();
+            let resp = conn.read_response().unwrap();
+            assert_eq!(resp.body.len(), len, "{path}");
+            assert_eq!(conn.reader.capacity(), CONN_BUF, "the buffer never grows");
+            pool.release(server.addr(), conn);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 
 /// Maximum accepted request-line / header-line length in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -372,64 +372,6 @@ pub fn read_response<R: BufRead>(r: &mut R) -> Result<Response, WireError> {
     }
 }
 
-/// First size of a connection's read buffer; it grows only while one
-/// message does not fit.
-const READ_BUF: usize = 16 * 1024;
-
-/// A connection's read buffer: bytes read off the peer and not yet
-/// parsed, `buf[start..end]`. Responses are parsed in place from it with
-/// [`parse_response`], so a pipelined batch that arrived in one read is
-/// split into messages without another copy, and each body is copied out
-/// once.
-#[derive(Debug, Default)]
-pub(crate) struct ReadBuf {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-}
-
-impl ReadBuf {
-    /// The next response from `r`: parsed from the buffered bytes when
-    /// they already hold one, otherwise after as many reads as it takes.
-    pub(crate) fn read_response(&mut self, r: &mut impl Read) -> Result<Response, WireError> {
-        loop {
-            if let Some((resp, used)) = parse_response(&self.buf[self.start..self.end])? {
-                self.start += used;
-                if self.start == self.end {
-                    (self.start, self.end) = (0, 0);
-                }
-                return Ok(resp);
-            }
-            self.fill(r)?;
-        }
-    }
-
-    /// One `read` into the free tail, first moving a partial message to
-    /// the front or, when it already starts there, doubling the buffer.
-    fn fill(&mut self, r: &mut impl Read) -> Result<(), WireError> {
-        if self.end == self.buf.len() {
-            if self.start > 0 {
-                self.buf.copy_within(self.start..self.end, 0);
-                (self.start, self.end) = (0, self.end - self.start);
-            } else {
-                self.buf.resize((2 * self.buf.len()).max(READ_BUF), 0);
-            }
-        }
-        loop {
-            match r.read(&mut self.buf[self.end..]) {
-                Ok(0) if self.start == self.end => return Err(WireError::Eof),
-                Ok(0) => return Err(WireError::Malformed("truncated message")),
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
-    }
-}
-
 /// Serialize a request — request line, headers (adding `Content-Length`
 /// when there is a body and none was set), blank line, body — into `buf`.
 pub fn serialize_request(req: &Request, buf: &mut Vec<u8>) {
@@ -528,8 +470,9 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
 }
 
 /// Incremental response parse: [`parse_request`]'s contract for a
-/// response. The client parses pipelined responses in place off its
-/// connection buffer with this; the body is copied out of `buf` once.
+/// response. [`read_response`] runs it over a reader's buffer, so
+/// pipelined responses are parsed in place; the body is copied out of
+/// `buf` once.
 pub fn parse_response(buf: &[u8]) -> Result<Option<(Response, usize)>, WireError> {
     let Some((line, pos)) = next_line(buf, 0)? else { return Ok(None) };
     let line = String::from_utf8_lossy(line);
@@ -699,8 +642,6 @@ mod tests {
     fn eof_before_any_bytes_is_eof_variant() {
         let e = read_response(&mut &b""[..]).unwrap_err();
         assert!(matches!(e, WireError::Eof));
-        let e = ReadBuf::default().read_response(&mut &b""[..]).unwrap_err();
-        assert!(matches!(e, WireError::Eof));
     }
 
     #[test]
@@ -714,8 +655,6 @@ mod tests {
     fn truncated_body_detected() {
         let msg = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc";
         let r = read_response(&mut BufReader::with_capacity(4, &msg[..]));
-        assert!(matches!(r, Err(WireError::Malformed("truncated message"))), "{r:?}");
-        let r = ReadBuf::default().read_response(&mut &msg[..]);
         assert!(matches!(r, Err(WireError::Malformed("truncated message"))), "{r:?}");
         assert!(parse_response(msg).unwrap().is_none(), "a parse waits for the rest");
     }
@@ -989,7 +928,7 @@ mod limit_tests {
 mod pipeline_props {
     use super::*;
     use proptest::prelude::*;
-    use std::io::BufReader;
+    use std::io::{BufReader, Read};
 
     /// A crawl GET (with a session cookie when `cookie` is non-empty), or
     /// a POST when `body` is non-empty.
@@ -1133,27 +1072,22 @@ mod pipeline_props {
                 prop_assert_eq!(&got.body, &req.body);
             }
 
-            // Responses, through the client's connection buffer and
-            // through the `BufRead` adapter with a small buffer.
+            // Responses, through the `BufRead` adapter with a buffer no
+            // larger than the first read.
             let resps: Vec<Response> = resps.into_iter().map(response).collect();
             let mut wire = Vec::new();
             for resp in &resps {
                 resp.write_to(&mut wire).unwrap();
             }
-            let mut conn = ReadBuf::default();
-            let mut chunks = Chunked { wire: &wire, sizes: &sizes, reads: 0 };
-            let mut adapter =
+            let mut conn =
                 BufReader::with_capacity(sizes[0], Chunked { wire: &wire, sizes: &sizes, reads: 0 });
             for resp in &resps {
-                let a = conn.read_response(&mut chunks).unwrap();
-                let b = read_response(&mut adapter).unwrap();
-                prop_assert_eq!(a.status, resp.status);
-                prop_assert_eq!(&a.headers, &on_the_wire(&resp.headers, Some(resp.body.len())));
-                prop_assert_eq!(&a.body, &resp.body);
-                prop_assert!(same(&a, &b));
+                let got = read_response(&mut conn).unwrap();
+                prop_assert_eq!(got.status, resp.status);
+                prop_assert_eq!(&got.headers, &on_the_wire(&resp.headers, Some(resp.body.len())));
+                prop_assert_eq!(&got.body, &resp.body);
             }
-            prop_assert!(matches!(conn.read_response(&mut chunks), Err(WireError::Eof)));
-            prop_assert!(matches!(read_response(&mut adapter), Err(WireError::Eof)));
+            prop_assert!(matches!(read_response(&mut conn), Err(WireError::Eof)));
         }
 
         #[test]
@@ -1178,10 +1112,6 @@ mod pipeline_props {
                 prop_assert!(matches!(parse_response(resp.as_bytes()), Err(WireError::Malformed(_))));
                 prop_assert!(matches!(
                     read_response(&mut resp.as_bytes()),
-                    Err(WireError::Malformed(_))
-                ));
-                prop_assert!(matches!(
-                    ReadBuf::default().read_response(&mut resp.as_bytes()),
                     Err(WireError::Malformed(_))
                 ));
             }
@@ -1219,11 +1149,11 @@ mod pipeline_props {
     }
 
     #[test]
-    fn the_connection_buffer_compacts_and_grows_under_large_pipelined_responses() {
-        // Bodies around and past the first buffer size, read in odd-sized
-        // pieces, so a partial message is moved to the front and the
-        // buffer doubles.
-        let resps: Vec<Response> = [10_000usize, 20_000, 5, 40_000, 3, READ_BUF]
+    fn large_pipelined_responses_span_many_fills() {
+        // Bodies around and past a pooled connection's buffer size, read
+        // in odd-sized pieces, so a message is held across many fills and
+        // the one after it starts mid-buffer.
+        let resps: Vec<Response> = [10_000usize, 20_000, 5, 40_000, 3, 16 * 1024]
             .iter()
             .enumerate()
             .map(|(i, &len)| response((i as u8, (0..len).map(|b| (b * 7 + i) as u8).collect())))
@@ -1232,13 +1162,13 @@ mod pipeline_props {
         for resp in &resps {
             resp.write_to(&mut wire).unwrap();
         }
-        let mut conn = ReadBuf::default();
-        let mut chunks = Chunked { wire: &wire, sizes: &[4093, 7, READ_BUF, 1, 9000], reads: 0 };
+        let chunks = Chunked { wire: &wire, sizes: &[4093, 7, 16 * 1024, 1, 9000], reads: 0 };
+        let mut conn = BufReader::with_capacity(16 * 1024, chunks);
         for resp in &resps {
-            let got = conn.read_response(&mut chunks).unwrap();
+            let got = read_response(&mut conn).unwrap();
             assert_eq!((got.status, &got.body), (resp.status, &resp.body));
         }
-        assert!(matches!(conn.read_response(&mut chunks), Err(WireError::Eof)));
+        assert!(matches!(read_response(&mut conn), Err(WireError::Eof)));
     }
 
     /// Equal status, headers and body.

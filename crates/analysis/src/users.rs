@@ -28,18 +28,6 @@ pub fn gab_growth(store: &CrawlStore) -> GabGrowth {
     GabGrowth { series, monotone_fraction }
 }
 
-/// Monthly Dissenter signups from author-id timestamps:
-/// `((year, month), count)` ascending.
-pub fn monthly_signups(store: &CrawlStore) -> Vec<((i64, u32), usize)> {
-    let mut m: HashMap<(i64, u32), usize> = HashMap::new();
-    for u in store.users.values() {
-        *m.entry(year_month(u.author_id.timestamp())).or_insert(0) += 1;
-    }
-    let mut rows: Vec<((i64, u32), usize)> = m.into_iter().collect();
-    rows.sort();
-    rows
-}
-
 /// Fraction of discovered users who joined on or before `(year, month)`.
 pub fn joined_by(store: &CrawlStore, year: i64, month: u32) -> f64 {
     let total = store.users.len().max(1);
@@ -237,18 +225,6 @@ mod tests {
         let nsfw = rows.iter().find(|r| r.name == "filter: nsfw").unwrap();
         assert_eq!(nsfw.count, 2);
         assert!((nsfw.percent - 66.666).abs() < 0.01);
-    }
-
-    #[test]
-    fn monthly_signups_ordered() {
-        let store = store_with_users();
-        let rows = monthly_signups(&store);
-        assert!(!rows.is_empty());
-        for w in rows.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-        let total: usize = rows.iter().map(|r| r.1).sum();
-        assert_eq!(total, 3);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl Confusion {
         }
     }
 
-    /// Unweighted mean of per-class F1.
-    pub fn macro_f1(&self) -> f64 {
-        (0..self.k).map(|c| self.f1(c)).sum::<f64>() / self.k as f64
-    }
-
     /// Support-weighted mean of per-class F1 — scikit-learn's
     /// `f1_score(average="weighted")`, the convention behind the paper's
     /// 0.87 on a heavily imbalanced corpus.
@@ -188,7 +183,6 @@ mod tests {
         c.add(0, 0);
         c.add(1, 1);
         assert_eq!(c.accuracy(), 1.0);
-        assert_eq!(c.macro_f1(), 1.0);
         assert_eq!(c.weighted_f1(), 1.0);
     }
 
@@ -212,7 +206,9 @@ mod tests {
         for _ in 0..10 {
             c.add(1, 0);
         }
-        assert!(c.weighted_f1() > c.macro_f1());
+        // Class 0: precision 0.9, recall 1, F1 = 18/19, support 90 of
+        // 100; class 1: F1 = 0. Weighted: 0.9 * 18/19 = 81/95.
+        assert!((c.weighted_f1() - 81.0 / 95.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,35 +2,38 @@
 //!
 //! The paper's mirror took a 14-month longitudinal crawl; a process
 //! that long *will* be killed mid-flight. This module wires the crawl
-//! through [`durable`]'s segmented WAL + snapshot engine so a killed
-//! crawl resumes instead of restarting:
+//! through [`durable`]'s segmented WAL so a killed crawl resumes instead
+//! of restarting:
 //!
 //! * after every completed phase, [`Journal::commit_phase`] appends the
 //!   phase's store mutations as WAL records (entity upserts, the shadow
 //!   validation counters), then any newly cached ETag representations
 //!   (so `If-None-Match` revalidation survives the crash), then a
 //!   checkpoint record, and syncs — the phase is durable once the
-//!   checkpoint is;
-//! * every [`DurableConfig::snapshot_every_phases`] checkpoints the full
-//!   store is snapshotted and covered WAL segments are compacted away;
-//! * [`Journal::recover`] rebuilds the store from the latest snapshot
-//!   plus the WAL tail. Records after the last checkpoint belong to an
-//!   interrupted phase boundary and are **discarded** (staged but never
-//!   applied): the interrupted phase re-runs in full on resume, so
-//!   applying a partial batch would double its vector entities. The
-//!   resume path first appends a rollback marker making that discard
-//!   durable — replaying the same WAL twice stays idempotent without
-//!   any dedup heuristics;
+//!   checkpoint is. The three steps run under the `journal.entities`,
+//!   `journal.reval` and `journal.sync` spans;
+//! * [`Journal::recover`] rebuilds the store by replaying the whole WAL.
+//!   Records after the last checkpoint belong to an interrupted phase
+//!   boundary and are **discarded** (staged but never applied): the
+//!   interrupted phase re-runs in full on resume, so applying a partial
+//!   batch would double its vector entities. The resume path first
+//!   appends a rollback marker making that discard durable — replaying
+//!   the same WAL twice stays idempotent without any dedup heuristics;
 //! * ETag records are the exception: they are applied immediately even
 //!   when uncheckpointed, because a cached representation is
 //!   content-derived and only makes the re-run cheaper (`304`s instead
 //!   of full bodies — the `http.<service>.not_modified` counters).
 //!
+//! The WAL is the journal's only copy of the crawl. A crawl has seven
+//! phases, each journaling only the store fields it owns, so every
+//! entity is written once; a snapshot of the full store would re-encode
+//! what the WAL already holds without shortening recovery, which reads
+//! the same records either way.
+//!
 //! Entity payloads reuse [`crate::persist`]'s JSON codecs, so a WAL
-//! record, a snapshot section, and an archive line are the same bytes
-//! per entity. Crawl statistics are not journaled — they describe a
-//! crawl *run*, not the mirror, and a resumed run legitimately has
-//! different stats.
+//! record and an archive line are the same bytes per entity. Crawl
+//! statistics are not journaled — they describe a crawl *run*, not the
+//! mirror, and a resumed run legitimately has different stats.
 
 use crate::persist;
 use crate::resilience::Phase;
@@ -42,10 +45,9 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-pub use durable::{is_kill_error, Failpoint, Retention};
+pub use durable::{is_kill_error, Failpoint};
 
-// WAL record tags (doubling as snapshot section tags — same payload
-// encodings, so one applier serves both).
+// WAL record tags.
 const TAG_GAB: u32 = 1;
 const TAG_USERNAME: u32 = 2;
 const TAG_USER: u32 = 3;
@@ -81,45 +83,6 @@ fn bad_data(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
 }
 
-/// Durable-crawl tuning, layered over [`durable::StoreOptions`].
-#[derive(Debug, Clone)]
-pub struct DurableConfig {
-    /// WAL segment rotation threshold.
-    pub segment_max_bytes: u64,
-    /// Snapshot (and compact) every N phase checkpoints. A snapshot
-    /// serializes the full store, so its cost is O(state) while the
-    /// alternative — replaying more WAL on recovery — is cheap
-    /// (recovery is read-dominated, no network); the default snapshots
-    /// once mid-crawl rather than at every other boundary.
-    pub snapshot_every_phases: usize,
-    /// Compaction policy.
-    pub retention: Retention,
-    /// Seeded kill point for crash testing (see [`Failpoint`]).
-    pub failpoint: Failpoint,
-}
-
-impl Default for DurableConfig {
-    fn default() -> Self {
-        Self {
-            segment_max_bytes: 4 * 1024 * 1024,
-            snapshot_every_phases: 4,
-            retention: Retention::KeepLast(1),
-            failpoint: Failpoint::default(),
-        }
-    }
-}
-
-impl DurableConfig {
-    fn to_options(&self, metrics: obs::Registry) -> durable::StoreOptions {
-        durable::StoreOptions {
-            segment_max_bytes: self.segment_max_bytes,
-            retention: self.retention,
-            failpoint: self.failpoint,
-            metrics: Some(metrics),
-        }
-    }
-}
-
 /// Everything [`Journal::recover`] rebuilt from disk.
 #[derive(Debug)]
 pub struct RecoveredState {
@@ -147,61 +110,38 @@ pub struct Journal {
     /// never re-tags under a static world).
     journaled_reval: HashSet<String>,
     completed: usize,
-    snapshot_every: usize,
+    metrics: obs::Registry,
+}
+
+fn store_options(failpoint: Failpoint, metrics: &obs::Registry) -> durable::StoreOptions {
+    durable::StoreOptions { failpoint, metrics: Some(metrics.clone()), ..Default::default() }
 }
 
 impl Journal {
     /// Start a fresh journal in `dir`. Fails if one already exists.
-    pub fn create(dir: &Path, cfg: &DurableConfig, metrics: obs::Registry) -> io::Result<Self> {
-        let store = DurableStore::create(dir, cfg.to_options(metrics))?;
-        Ok(Self {
-            store,
-            journaled_reval: HashSet::new(),
-            completed: 0,
-            snapshot_every: cfg.snapshot_every_phases.max(1),
-        })
+    /// `failpoint` kills the journal at a seeded append for crash
+    /// testing (`Failpoint::default()` disables it).
+    pub fn create(dir: &Path, failpoint: Failpoint, metrics: obs::Registry) -> io::Result<Self> {
+        let store = DurableStore::create(dir, store_options(failpoint, &metrics))?;
+        Ok(Self { store, journaled_reval: HashSet::new(), completed: 0, metrics })
     }
 
-    /// Rebuild crawl state from `dir`: latest snapshot, then the WAL
-    /// tail with checkpoint/rollback staging semantics (module docs).
-    pub fn recover(
-        dir: &Path,
-        cfg: &DurableConfig,
-        metrics: obs::Registry,
-    ) -> io::Result<(Self, RecoveredState)> {
-        let (durable_store, recovered) = DurableStore::open(dir, cfg.to_options(metrics))?;
+    /// Rebuild crawl state from `dir` by replaying the WAL with
+    /// checkpoint/rollback staging semantics (module docs).
+    pub fn recover(dir: &Path, metrics: obs::Registry) -> io::Result<(Self, RecoveredState)> {
+        let (durable_store, durable::Recovered { records, torn_tail_recovered }) =
+            DurableStore::open(dir, store_options(Failpoint::default(), &metrics))?;
 
         let mut store = CrawlStore::default();
         let mut completed = 0usize;
         let mut reval_entries: Vec<(String, Response)> = Vec::new();
 
-        if let Some(snap) = &recovered.snapshot {
-            for (tag, payload) in &snap.sections {
-                match *tag {
-                    TAG_CHECKPOINT => {
-                        completed = *payload.first().ok_or_else(|| {
-                            bad_data("snapshot: empty completed-count section")
-                        })? as usize;
-                    }
-                    TAG_REVAL => {
-                        let mut rest = payload.as_slice();
-                        while !rest.is_empty() {
-                            let (entry, len) = decode_reval(rest)?;
-                            reval_entries.push(entry);
-                            rest = &rest[len..];
-                        }
-                    }
-                    tag => apply_record(&mut store, tag, payload)?,
-                }
-            }
-        }
-
-        // WAL tail: stage entity records, apply them only at their
-        // checkpoint, discard them at a rollback marker. ETag records
-        // apply immediately (module docs).
-        let mut pending: Vec<(u32, Vec<u8>)> = Vec::new();
+        // Stage entity records, apply them only at their checkpoint,
+        // discard them at a rollback marker. ETag records apply
+        // immediately (module docs).
+        let mut pending: Vec<durable::Record> = Vec::new();
         let mut uncheckpointed_reval = 0usize;
-        for rec in &recovered.records {
+        for rec in records {
             match rec.tag {
                 TAG_CHECKPOINT => {
                     let idx = *rec.payload.first().ok_or_else(|| {
@@ -212,19 +152,18 @@ impl Journal {
                             "wal: checkpoint for phase {idx} but {completed} phases completed"
                         )));
                     }
-                    for (tag, payload) in pending.drain(..) {
-                        apply_record(&mut store, tag, &payload)?;
+                    for staged in pending.drain(..) {
+                        apply_record(&mut store, staged.tag, &staged.payload)?;
                     }
                     completed += 1;
                     uncheckpointed_reval = 0;
                 }
                 TAG_ROLLBACK => pending.clear(),
                 TAG_REVAL => {
-                    let (entry, _) = decode_reval(&rec.payload)?;
-                    reval_entries.push(entry);
+                    reval_entries.push(decode_reval(&rec.payload)?);
                     uncheckpointed_reval += 1;
                 }
-                tag => pending.push((tag, rec.payload.clone())),
+                _ => pending.push(rec),
             }
         }
 
@@ -232,14 +171,14 @@ impl Journal {
             store: durable_store,
             journaled_reval: reval_entries.iter().map(|(k, _)| k.clone()).collect(),
             completed,
-            snapshot_every: cfg.snapshot_every_phases.max(1),
+            metrics,
         };
         let state = RecoveredState {
             store,
             completed,
             reval_entries,
             uncheckpointed_reval,
-            torn_tail_recovered: recovered.torn_tail_recovered,
+            torn_tail_recovered,
         };
         Ok((journal, state))
     }
@@ -254,17 +193,19 @@ impl Journal {
     }
 
     /// Journal a completed phase: its store mutations, newly cached
-    /// revalidation entries, a checkpoint; then sync (and snapshot on
-    /// the configured cadence). `store` is the crawl store *after* the
-    /// phase ran.
+    /// revalidation entries, a checkpoint; then sync. `store` is the
+    /// crawl store *after* the phase ran.
     pub fn commit_phase(
         &mut self,
         phase: Phase,
         store: &CrawlStore,
         reval: Option<&httpnet::RevalidationCache>,
     ) -> io::Result<()> {
+        let span = self.metrics.span("journal.entities");
         self.append_phase_delta(phase, store)?;
+        span.finish();
         if let Some(cache) = reval {
+            let _span = self.metrics.span("journal.reval");
             let (wal, journaled) = (&mut self.store, &mut self.journaled_reval);
             let mut result = Ok(());
             cache.for_each_entry(|key, resp| {
@@ -278,13 +219,10 @@ impl Journal {
             });
             result?;
         }
+        let _span = self.metrics.span("journal.sync");
         self.store.append(TAG_CHECKPOINT, &[phase.index() as u8])?;
         self.completed += 1;
-        self.store.sync()?;
-        if self.completed.is_multiple_of(self.snapshot_every) {
-            self.snapshot(store, reval)?;
-        }
-        Ok(())
+        self.store.sync()
     }
 
     /// The phases checkpointed so far.
@@ -351,40 +289,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Snapshot the full store (sections mirror the WAL record
-    /// encodings) and let the engine compact covered segments. The
-    /// reval section must carry the cache's live entries: their WAL
-    /// records fall behind the watermark and compaction deletes them,
-    /// so the snapshot is their only surviving copy. Entries the cache
-    /// has since evicted are dropped here too — losing one only costs a
-    /// full re-download, never correctness.
-    fn snapshot(
-        &mut self,
-        store: &CrawlStore,
-        reval: Option<&httpnet::RevalidationCache>,
-    ) -> io::Result<()> {
-        let mut reval_section = Vec::new();
-        if let Some(cache) = reval {
-            cache.for_each_entry(|key, resp| {
-                reval_section.extend_from_slice(&encode_reval(key, resp));
-            });
-        }
-        let sections: Vec<(u32, Vec<u8>)> = vec![
-            (TAG_GAB, persist::serialize_file(store, "gab_accounts.jsonl")),
-            (TAG_USERNAME, store.dissenter_usernames.join("\n").into_bytes()),
-            (TAG_USER, persist::serialize_file(store, "users.jsonl")),
-            (TAG_URL, persist::serialize_file(store, "urls.jsonl")),
-            (TAG_COMMENT, persist::serialize_file(store, "comments.jsonl")),
-            (TAG_SHADOW, encode_shadow(store.shadow_validation).to_vec()),
-            (TAG_YOUTUBE, persist::serialize_file(store, "youtube.jsonl")),
-            (TAG_EDGE, persist::serialize_file(store, "follow_edges.jsonl")),
-            (TAG_REDDIT, persist::serialize_file(store, "reddit.jsonl")),
-            (TAG_CHECKPOINT, vec![self.completed as u8]),
-            (TAG_REVAL, reval_section),
-        ];
-        self.store.snapshot(&sections)
-    }
 }
 
 fn encode_shadow(validation: (usize, usize)) -> [u8; 16] {
@@ -394,15 +298,13 @@ fn encode_shadow(validation: (usize, usize)) -> [u8; 16] {
     out
 }
 
-/// Apply one entity record (WAL or snapshot section) to the store.
+/// Apply one entity record to the store.
 fn apply_record(store: &mut CrawlStore, tag: u32, payload: &[u8]) -> io::Result<()> {
     match tag {
         TAG_USERNAME => {
-            let text = std::str::from_utf8(payload)
+            let name = std::str::from_utf8(payload)
                 .map_err(|e| bad_data(format!("username record: not UTF-8: {e}")))?;
-            for name in text.split('\n').filter(|l| !l.is_empty()) {
-                store.dissenter_usernames.push(name.to_owned());
-            }
+            store.dissenter_usernames.push(name.to_owned());
         }
         TAG_SHADOW => {
             if payload.len() != 16 {
@@ -449,9 +351,8 @@ fn encode_reval(key: &str, resp: &Response) -> Vec<u8> {
     buf
 }
 
-/// Decode one entry from the front of `bytes`; returns it plus the
-/// number of bytes consumed (snapshot sections concatenate entries).
-fn decode_reval(bytes: &[u8]) -> io::Result<((String, Response), usize)> {
+/// Decode one [`TAG_REVAL`] payload.
+fn decode_reval(bytes: &[u8]) -> io::Result<(String, Response)> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> io::Result<&[u8]> {
         let slice = bytes
@@ -477,5 +378,8 @@ fn decode_reval(bytes: &[u8]) -> io::Result<((String, Response), usize)> {
     }
     let body_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
     let body = take(&mut pos, body_len)?.to_vec();
-    Ok(((key, Response { status: Status(status), headers, body }), pos))
+    if pos != bytes.len() {
+        return Err(bad_data(format!("reval record: {} trailing bytes", bytes.len() - pos)));
+    }
+    Ok((key, Response { status: Status(status), headers, body }))
 }

@@ -52,7 +52,7 @@ pub mod youtube;
 use httpnet::ServerConfig;
 use std::net::SocketAddr;
 
-pub use journal::{DurableConfig, Failpoint, Retention};
+pub use journal::Failpoint;
 pub use resilience::{CircuitBreaker, Phase};
 pub use store::{CrawlStore, DeadLetter};
 
@@ -283,16 +283,17 @@ impl Crawler {
 
     /// [`Crawler::full_crawl`], journaled through a [`journal::Journal`]
     /// rooted at `dir`: each phase is checkpointed into a segmented WAL
-    /// (with periodic snapshots) as it completes, so a killed crawl can
-    /// pick up from the last phase boundary via [`Crawler::resume`]
-    /// instead of starting over. Fails if `dir` already holds a
-    /// journal.
+    /// as it completes, so a killed crawl can pick up from the last
+    /// phase boundary via [`Crawler::resume`] instead of starting over.
+    /// `failpoint` kills the journal at a seeded append for crash tests
+    /// (`Failpoint::default()` for a real crawl). Fails if `dir` already
+    /// holds a journal.
     pub fn full_crawl_durable(
         &self,
         dir: &std::path::Path,
-        cfg: &DurableConfig,
+        failpoint: Failpoint,
     ) -> std::io::Result<CrawlStore> {
-        let mut journal = journal::Journal::create(dir, cfg, self.metrics.clone())?;
+        let mut journal = journal::Journal::create(dir, failpoint, self.metrics.clone())?;
         let mut store = CrawlStore::default();
         for phase in Phase::ALL {
             self.timed_phase(phase, &mut store, phase_fn(phase));
@@ -302,20 +303,16 @@ impl Crawler {
     }
 
     /// Resume a killed [`Crawler::full_crawl_durable`] from its journal:
-    /// replay the latest snapshot + WAL tail into the store, seed the
-    /// revalidation cache with every journaled representation (so the
-    /// re-run answers `If-None-Match` with `304`s instead of
-    /// re-downloading pages the dead crawl already fetched), durably
-    /// roll back the interrupted phase's partial batch, and re-run only
-    /// the phases after the last checkpoint. The result is
+    /// replay the WAL into the store, seed the revalidation cache with
+    /// every journaled representation (so the re-run answers
+    /// `If-None-Match` with `304`s instead of re-downloading pages the
+    /// dead crawl already fetched), durably roll back the interrupted
+    /// phase's partial batch, and re-run only the phases after the last
+    /// checkpoint. The result is
     /// indistinguishable from an uninterrupted crawl — `simcheck`'s
     /// `crash.resume` oracle holds this byte-for-byte across seeds.
-    pub fn resume(
-        &self,
-        dir: &std::path::Path,
-        cfg: &DurableConfig,
-    ) -> std::io::Result<(CrawlStore, ResumeInfo)> {
-        let (mut journal, state) = journal::Journal::recover(dir, cfg, self.metrics.clone())?;
+    pub fn resume(&self, dir: &std::path::Path) -> std::io::Result<(CrawlStore, ResumeInfo)> {
+        let (mut journal, state) = journal::Journal::recover(dir, self.metrics.clone())?;
         if let Some(cache) = &self.reval {
             for (key, resp) in &state.reval_entries {
                 cache.store(key, resp);

@@ -13,8 +13,7 @@
 //! file name and 1-based line number of the offending line.
 //!
 //! The per-entity JSON codecs are shared with [`crate::journal`], which
-//! journals the same representations as WAL records and snapshot
-//! sections.
+//! journals the same representations as WAL records.
 
 use crate::store::{
     CrawlStore, CrawledComment, CrawledUrl, CrawledUser, CrawledYoutube, GabAccount, HiddenMeta,
@@ -22,7 +21,7 @@ use crate::store::{
 };
 use ids::ObjectId;
 use jsonlite::Value;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// File names written by [`save`].
@@ -213,51 +212,55 @@ pub(crate) fn reddit_from_json(v: &Value) -> io::Result<RedditMatch> {
 // ---------------------------------------------------------------------
 
 /// Serialize one archive file's entities (sorted, one JSON object per
-/// line) to bytes. `name` must be one of [`FILES`].
-pub(crate) fn serialize_file(store: &CrawlStore, name: &str) -> Vec<u8> {
-    let lines: Vec<Value> = match name {
+/// line) to bytes, writing each line as it is built. `name` must be one
+/// of [`FILES`].
+fn serialize_file(store: &CrawlStore, name: &str) -> Vec<u8> {
+    fn lines<T>(items: impl IntoIterator<Item = T>, to_json: impl Fn(T) -> Value) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for item in items {
+            buf.extend_from_slice(jsonlite::to_string(&to_json(item)).as_bytes());
+            buf.push(b'\n');
+        }
+        buf
+    }
+    match name {
         "gab_accounts.jsonl" => {
             let mut gab: Vec<&GabAccount> = store.gab_accounts.iter().collect();
             gab.sort_by_key(|a| a.gab_id);
-            gab.iter().map(|a| gab_to_json(a)).collect()
+            lines(gab, gab_to_json)
         }
         "users.jsonl" => {
             let mut users: Vec<&CrawledUser> = store.users.values().collect();
             users.sort_by(|a, b| a.username.cmp(&b.username));
-            users.iter().map(|u| user_to_json(u)).collect()
+            lines(users, user_to_json)
         }
         "urls.jsonl" => {
             let mut urls: Vec<&CrawledUrl> = store.urls.values().collect();
             urls.sort_by_key(|u| u.id);
-            urls.iter().map(|u| url_to_json(u)).collect()
+            lines(urls, url_to_json)
         }
         "comments.jsonl" => {
             let mut comments: Vec<&CrawledComment> = store.comments.values().collect();
             comments.sort_by_key(|c| c.id);
-            comments.iter().map(|c| comment_to_json(c)).collect()
+            lines(comments, comment_to_json)
         }
         "youtube.jsonl" => {
             let mut yt: Vec<&CrawledYoutube> = store.youtube.iter().collect();
             yt.sort_by(|a, b| a.url.cmp(&b.url));
-            yt.iter().map(|y| youtube_to_json(y)).collect()
+            lines(yt, youtube_to_json)
         }
         "follow_edges.jsonl" => {
-            let mut edges = store.follow_edges.clone();
+            let mut edges: Vec<&(ObjectId, ObjectId)> = store.follow_edges.iter().collect();
             edges.sort();
-            edges.iter().map(edge_to_json).collect()
+            lines(edges, edge_to_json)
         }
         "reddit.jsonl" => {
             let mut reddit: Vec<&RedditMatch> = store.reddit.values().collect();
             reddit.sort_by(|a, b| a.username.cmp(&b.username));
-            reddit.iter().map(|m| reddit_to_json(m)).collect()
+            lines(reddit, reddit_to_json)
         }
         other => unreachable!("not an archive file: {other}"),
-    };
-    let mut buf = Vec::new();
-    for v in lines {
-        writeln!(buf, "{}", jsonlite::to_string(&v)).expect("Vec write is infallible");
     }
-    buf
 }
 
 /// Apply one parsed archive line to the store. Does not touch

@@ -4,7 +4,7 @@
 //! phases replayed from disk instead of re-fetched.
 
 use crawler::journal::is_kill_error;
-use crawler::{Crawler, DurableConfig, Endpoints, Failpoint, Phase};
+use crawler::{Crawler, Endpoints, Failpoint, Phase};
 use platform::World;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ fn killed_crawl_resumes_to_a_byte_identical_store() {
     let reference_dir = TempDir::new("ref");
     let crawler = crawler_for(&services);
     let reference =
-        crawler.full_crawl_durable(&reference_dir.0, &DurableConfig::default()).expect("reference");
+        crawler.full_crawl_durable(&reference_dir.0, Failpoint::default()).expect("reference");
     let total_ops = crawler
         .metrics
         .snapshot()
@@ -104,17 +104,13 @@ fn killed_crawl_resumes_to_a_byte_identical_store() {
     for torn in [false, true] {
         let kill_at = if torn { total_ops * 3 / 5 } else { total_ops / 3 };
         let dir = TempDir::new(if torn { "killed-torn" } else { "killed" });
-        let cfg = DurableConfig {
-            failpoint: Failpoint { kill_at_op: Some(kill_at), torn_tail: torn },
-            ..DurableConfig::default()
-        };
+        let failpoint = Failpoint { kill_at_op: Some(kill_at), torn_tail: torn };
         let killed = crawler_for(&services);
-        let err = killed.full_crawl_durable(&dir.0, &cfg).expect_err("failpoint must kill");
+        let err = killed.full_crawl_durable(&dir.0, failpoint).expect_err("failpoint must kill");
         assert!(is_kill_error(&err), "unexpected error: {err}");
 
         let resumer = crawler_for(&services);
-        let (resumed, info) =
-            resumer.resume(&dir.0, &DurableConfig::default()).expect("resume");
+        let (resumed, info) = resumer.resume(&dir.0).expect("resume");
         assert!(info.completed < Phase::ALL.len(), "a kill must interrupt some phase");
         assert_eq!(info.torn_tail_recovered, torn, "torn tail must round-trip");
 
@@ -154,22 +150,15 @@ fn recovery_is_idempotent_before_resume() {
         SimServices::simulated(world, crawler::default_server_config()).expect("services");
 
     let dir = TempDir::new("idem");
-    let cfg = DurableConfig {
-        failpoint: Failpoint { kill_at_op: Some(40), torn_tail: true },
-        ..DurableConfig::default()
-    };
+    let failpoint = Failpoint { kill_at_op: Some(40), torn_tail: true };
     let killed = crawler_for(&services);
-    assert!(killed.full_crawl_durable(&dir.0, &cfg).is_err());
+    assert!(killed.full_crawl_durable(&dir.0, failpoint).is_err());
 
     // Opening the killed journal twice must yield the same state (the
     // first open truncates the torn tail; the second sees a clean log).
     let open = |tag: &str| {
-        let (_, state) = crawler::journal::Journal::recover(
-            &dir.0,
-            &DurableConfig::default(),
-            obs::Registry::new(),
-        )
-        .expect("recover");
+        let (_, state) =
+            crawler::journal::Journal::recover(&dir.0, obs::Registry::new()).expect("recover");
         let dump = TempDir::new(tag);
         (state.completed, persist_bytes(&state.store, &dump.0))
     };
@@ -187,10 +176,10 @@ fn resume_skips_nothing_when_the_journal_is_complete() {
 
     let dir = TempDir::new("complete");
     let crawler = crawler_for(&services);
-    let store = crawler.full_crawl_durable(&dir.0, &DurableConfig::default()).expect("crawl");
+    let store = crawler.full_crawl_durable(&dir.0, Failpoint::default()).expect("crawl");
 
     let resumer = crawler_for(&services);
-    let (resumed, info) = resumer.resume(&dir.0, &DurableConfig::default()).expect("resume");
+    let (resumed, info) = resumer.resume(&dir.0).expect("resume");
     assert_eq!(info.completed, Phase::ALL.len());
 
     let d1 = TempDir::new("complete-a");
@@ -206,4 +195,29 @@ fn resume_skips_nothing_when_the_journal_is_complete() {
         let attempted = snap.counter(&format!("crawl.{}.attempted", phase.name())).unwrap_or(0);
         assert_eq!(attempted, 0, "complete journal must not trigger fetches");
     }
+}
+
+#[test]
+fn a_complete_journal_is_only_wal_segments() {
+    let world = tiny_world();
+    let services =
+        SimServices::simulated(world, crawler::default_server_config()).expect("services");
+
+    let dir = TempDir::new("walonly");
+    crawler_for(&services).full_crawl_durable(&dir.0, Failpoint::default()).expect("crawl");
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert!(!names.is_empty(), "a journaled crawl must leave its WAL behind");
+    for name in &names {
+        let digits = name.strip_prefix("wal_").and_then(|n| n.strip_suffix(".seg"));
+        assert!(
+            digits.is_some_and(|d| d.len() == 8 && d.bytes().all(|b| b.is_ascii_digit())),
+            "journal directory holds a non-WAL file {name}: {names:?}"
+        );
+    }
+    assert_eq!(names[0], "wal_00000001.seg", "the WAL starts at segment 1");
 }

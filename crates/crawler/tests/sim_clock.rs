@@ -18,7 +18,7 @@
 //! window its predecessor had spent.
 
 use crawler::journal::is_kill_error;
-use crawler::{CrawlStore, Crawler, DurableConfig, Endpoints, Failpoint};
+use crawler::{CrawlStore, Crawler, Endpoints, Failpoint};
 use httpnet::ServerConfig;
 use platform::{Clock, RateLimiter, World};
 use std::sync::{Arc, OnceLock};
@@ -146,11 +146,8 @@ fn resumed_crawl_replays_identically_under_sim_clock() {
     let services = binding_services(&clock);
     let mut crawler = clocked_crawler(&services);
     crawler.enable_revalidation(10_000);
-    let cfg = DurableConfig {
-        failpoint: Failpoint { kill_at_op: Some(12), torn_tail: false },
-        ..DurableConfig::default()
-    };
-    let err = crawler.full_crawl_durable(&dir, &cfg).expect_err("failpoint must kill");
+    let failpoint = Failpoint { kill_at_op: Some(12), torn_tail: false };
+    let err = crawler.full_crawl_durable(&dir, failpoint).expect_err("failpoint must kill");
     assert!(is_kill_error(&err), "unexpected error: {err}");
     std::mem::forget(services);
 
@@ -160,7 +157,7 @@ fn resumed_crawl_replays_identically_under_sim_clock() {
     let services = binding_services(&clock);
     let mut resumer = clocked_crawler(&services);
     resumer.enable_revalidation(10_000);
-    let (resumed, _info) = resumer.resume(&dir, &DurableConfig::default()).expect("resume");
+    let (resumed, _info) = resumer.resume(&dir).expect("resume");
     std::mem::forget(services);
     std::fs::remove_dir_all(&dir).ok();
 

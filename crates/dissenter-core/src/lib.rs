@@ -64,8 +64,8 @@ pub struct StudyConfig {
     /// Peak-RSS ceiling enforced at stage boundaries (see
     /// [`MemoryBudget`]). Default: unlimited.
     pub memory_budget: MemoryBudget,
-    /// Journal the crawl to this directory (segmented WAL + snapshots;
-    /// see `crawler::journal`). Default: in-memory only.
+    /// Journal the crawl to this directory (a segmented WAL; see
+    /// `crawler::journal`). Default: in-memory only.
     pub journal_dir: Option<std::path::PathBuf>,
     /// Capacity of the client revalidation cache, enabling conditional
     /// re-fetches (`304 Not Modified`). Default: off.
@@ -216,7 +216,7 @@ impl StudyBuilder {
         self
     }
 
-    /// Journal the crawl (WAL + snapshots) under `dir`.
+    /// Journal the crawl (a segmented WAL) under `dir`.
     pub fn journal(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cfg.journal_dir = Some(dir.into());
         self
@@ -351,7 +351,7 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
     let span = metrics.span("stage.crawl");
     let store = match &cfg.journal_dir {
         Some(dir) => crawler
-            .full_crawl_durable(dir, &crawler::DurableConfig::default())
+            .full_crawl_durable(dir, crawler::Failpoint::default())
             .expect("journaled crawl I/O"),
         None => crawler.full_crawl(),
     };

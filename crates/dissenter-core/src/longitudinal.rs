@@ -55,7 +55,7 @@ use analysis::windowed::{
     DRIFT_FLAG_THRESHOLD,
 };
 use classify::ScorerVersion;
-use crawler::{CrawlStore, Crawler, DurableConfig, Endpoints, Failpoint};
+use crawler::{CrawlStore, Crawler, Endpoints, Failpoint};
 use platform::{Clock, World};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -209,23 +209,19 @@ fn sweep(
             let dir = root.join(dir_name);
             match cfg.kill_sweep {
                 Some((kill_at_sweep, kill_at_op)) if kill_at_sweep == sweep_no => {
-                    let dcfg = DurableConfig {
-                        failpoint: Failpoint { kill_at_op: Some(kill_at_op), torn_tail: false },
-                        ..DurableConfig::default()
-                    };
+                    let failpoint = Failpoint { kill_at_op: Some(kill_at_op), torn_tail: false };
                     let err = crawler
-                        .full_crawl_durable(&dir, &dcfg)
+                        .full_crawl_durable(&dir, failpoint)
                         .expect_err("failpoint must kill the sweep");
                     assert!(
                         crawler::journal::is_kill_error(&err),
                         "sweep died of something other than the failpoint: {err}"
                     );
-                    let (store, _info) =
-                        crawler.resume(&dir, &DurableConfig::default()).expect("resume sweep");
+                    let (store, _info) = crawler.resume(&dir).expect("resume sweep");
                     store
                 }
                 _ => crawler
-                    .full_crawl_durable(&dir, &DurableConfig::default())
+                    .full_crawl_durable(&dir, Failpoint::default())
                     .expect("durable sweep"),
             }
         }
@@ -373,20 +369,4 @@ pub fn artifacts(ls: &LongitudinalStudy) -> Vec<(String, Vec<u8>)> {
     }
     std::fs::remove_dir_all(&dir).ok();
     out
-}
-
-/// Write the three windowed CSVs into `dir`, returning the file names.
-pub fn export_windowed(ls: &LongitudinalStudy, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
-    std::fs::create_dir_all(dir)?;
-    let files = [
-        ("growth_curve.csv", growth_csv(&ls.growth)),
-        ("window_toxicity.csv", window_toxicity_csv(&ls.windows)),
-        ("drift_report.csv", drift_csv(&ls.drift)),
-    ];
-    let mut names = Vec::new();
-    for (name, body) in files {
-        std::fs::write(dir.join(name), body)?;
-        names.push(name.to_owned());
-    }
-    Ok(names)
 }

@@ -1,9 +1,8 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), slice-by-8. Every
-//! WAL record and snapshot section carries one so a flipped bit anywhere
-//! in a payload is detected on replay. Payloads run to megabytes per
-//! snapshot section, so the checksum is on the append/snapshot hot path
-//! and uses eight lookup tables to process 8 bytes per step instead of
-//! one.
+//! WAL record carries one so a flipped bit anywhere in a payload is
+//! detected on replay. The checksum is on the append hot path (cached
+//! response bodies run to kilobytes per record), so it uses eight lookup
+//! tables to process 8 bytes per step instead of one.
 
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];

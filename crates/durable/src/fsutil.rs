@@ -28,18 +28,6 @@ pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fsync_dir(parent)
 }
 
-/// Remove leftover `*.tmp` files from a crash mid-[`atomic_write_file`]
-/// (the rename never happened, so they are garbage by construction).
-pub fn remove_stale_tmp(dir: &Path) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().is_some_and(|x| x == "tmp") {
-            std::fs::remove_file(&path)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,17 +46,6 @@ mod tests {
         atomic_write_file(&path, b"two").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"two");
         assert!(!dir.join("state.bin.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_tmp_files_are_swept() {
-        let dir = temp_dir("sweep");
-        std::fs::write(dir.join("snap_00000001.snap.tmp"), b"torn").unwrap();
-        std::fs::write(dir.join("keep.bin"), b"live").unwrap();
-        remove_stale_tmp(&dir).unwrap();
-        assert!(!dir.join("snap_00000001.snap.tmp").exists());
-        assert!(dir.join("keep.bin").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

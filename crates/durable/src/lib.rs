@@ -1,15 +1,15 @@
 #![warn(missing_docs)]
-//! Durable storage engine: a segmented write-ahead log plus snapshots.
+//! Durable storage engine: a segmented write-ahead log.
 //!
 //! The paper's mirror was built by a 14-month crawl; a process that long
 //! *will* be killed mid-flight. This crate is the crash story: callers
 //! journal opaque `(tag, payload)` records into a segmented binary WAL
 //! (fixed segment header carrying magic/version/segment-number/store
-//! UUID, CRC32 per record, explicit append → sync → rotate lifecycle),
-//! periodically write a snapshot of their full state (fixed header,
-//! per-section CRC32, written with the write → fsync → rename →
-//! fsync-parent discipline), and recover after a kill by replaying the
-//! latest snapshot plus the WAL tail.
+//! UUID, CRC32 per record, explicit append → sync → rotate lifecycle)
+//! and recover after a kill by replaying every segment from the first.
+//! The WAL is the only recovery source: there are no snapshots and no
+//! compaction, so nothing is written twice and no segment is ever
+//! deleted.
 //!
 //! The engine knows nothing about what the records *mean* — payloads are
 //! opaque bytes; `crawler::journal` owns the crawl-specific semantics.
@@ -18,31 +18,23 @@
 //!
 //! * a record is durable once [`DurableStore::sync`] returns after its
 //!   append (appends are buffered until then);
-//! * a snapshot is durable once [`DurableStore::snapshot`] returns — the
-//!   temp-file + rename protocol means a crash mid-snapshot leaves the
-//!   previous snapshot intact, never a torn one;
-//! * [`compaction`](DurableStore::snapshot) only ever deletes WAL
-//!   segments fully covered by a durable snapshot, subject to the
-//!   [`Retention`] policy;
 //! * on [`open`](DurableStore::open), a torn final record (the classic
 //!   kill-during-append) is truncated away and recovery continues;
 //!   corruption anywhere else — bad magic, wrong version, foreign store
-//!   UUID, CRC mismatch in a sealed segment, a gap in the segment
-//!   sequence — is detected and reported, never silently skipped.
+//!   UUID, CRC mismatch in a sealed segment, a missing first segment or
+//!   a gap in the segment sequence — is detected and reported, never
+//!   silently skipped.
 //!
 //! Metrics (when a registry is attached): counters `wal.appends`,
-//! `wal.fsyncs`, `wal.rotations`, `wal.replayed_records`,
-//! `snapshot.written`, and `snapshot.bytes`.
+//! `wal.fsyncs`, `wal.rotations` and `wal.replayed_records`.
 //!
 //! For crash testing, a [`Failpoint`] kills the store at a seeded
 //! append ("op") count — optionally leaving a torn half-record on disk —
 //! by returning an [`io::ErrorKind::Interrupted`] error the caller
-//! propagates; `simcheck`'s `crash.*` oracle family drives it the same
-//! way `SIMCHECK_MUTATE` drives the accounting mutations.
+//! propagates; `simcheck`'s `crash.*` oracle family drives it.
 
 mod crc;
 mod fsutil;
-mod snapshot;
 mod wal;
 
 pub use crc::crc32;
@@ -51,27 +43,11 @@ pub use fsutil::{atomic_write_file, fsync_dir};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// On-disk format version stamped into every segment and snapshot
-/// header.
+/// On-disk format version stamped into every segment header.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Magic bytes opening every WAL segment.
 pub const WAL_MAGIC: [u8; 8] = *b"DSRWALv1";
-
-/// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: [u8; 8] = *b"DSRSNPv1";
-
-/// How many compacted artifacts to keep around after a snapshot makes
-/// them redundant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retention {
-    /// Never delete covered segments or superseded snapshots.
-    KeepAll,
-    /// Keep the `n` newest covered segments and the `n + 1` newest
-    /// snapshots (the live snapshot plus `n` predecessors); delete the
-    /// rest.
-    KeepLast(usize),
-}
 
 /// A seeded kill point for crash testing: the store fails the
 /// `kill_at_op`-th append (1-based) with an
@@ -86,30 +62,15 @@ pub struct Failpoint {
     pub torn_tail: bool,
 }
 
-impl Failpoint {
-    /// Read the failpoint from the environment (`DURABLE_KILL_AT`,
-    /// `DURABLE_KILL_TORN=1`) — the external-process analogue of
-    /// `SIMCHECK_MUTATE`. In-process harnesses (the simcheck oracle, the
-    /// recovery bench) configure it programmatically instead.
-    pub fn from_env() -> Self {
-        Self {
-            kill_at_op: std::env::var("DURABLE_KILL_AT").ok().and_then(|v| v.parse().ok()),
-            torn_tail: std::env::var("DURABLE_KILL_TORN").is_ok_and(|v| v == "1"),
-        }
-    }
-}
-
 /// Store tuning.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Rotate the live segment once it holds at least this many bytes
     /// (each segment always accepts at least one record).
     pub segment_max_bytes: u64,
-    /// Compaction policy for covered segments and superseded snapshots.
-    pub retention: Retention,
     /// Seeded kill point for crash testing.
     pub failpoint: Failpoint,
-    /// Registry for `wal.*` / `snapshot.*` counters.
+    /// Registry for the `wal.*` counters.
     pub metrics: Option<obs::Registry>,
 }
 
@@ -120,7 +81,6 @@ impl Default for StoreOptions {
             // segments sized well above the per-checkpoint write volume
             // keep that off the append hot path.
             segment_max_bytes: 4 * 1024 * 1024,
-            retention: Retention::KeepLast(1),
             failpoint: Failpoint::default(),
             metrics: None,
         }
@@ -136,22 +96,10 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// The snapshot component of a recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredSnapshot {
-    /// The last WAL segment the snapshot covers; replay resumes at the
-    /// next segment.
-    pub covers_through: u64,
-    /// The caller's sections, CRC-verified, in written order.
-    pub sections: Vec<(u32, Vec<u8>)>,
-}
-
 /// Everything [`DurableStore::open`] recovered from disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered {
-    /// Latest durable snapshot, if any was written.
-    pub snapshot: Option<RecoveredSnapshot>,
-    /// WAL records after the snapshot watermark, in append order.
+    /// Every WAL record, in append order.
     pub records: Vec<Record>,
     /// A torn tail (incomplete or corrupt final record / segment header)
     /// was found and truncated away.
@@ -163,8 +111,6 @@ struct Counters {
     fsyncs: obs::Counter,
     rotations: obs::Counter,
     replayed: obs::Counter,
-    snap_written: obs::Counter,
-    snap_bytes: obs::Counter,
 }
 
 impl Counters {
@@ -174,13 +120,11 @@ impl Counters {
             fsyncs: m.counter("wal.fsyncs"),
             rotations: m.counter("wal.rotations"),
             replayed: m.counter("wal.replayed_records"),
-            snap_written: m.counter("snapshot.written"),
-            snap_bytes: m.counter("snapshot.bytes"),
         })
     }
 }
 
-/// A segmented WAL + snapshot store rooted at one directory.
+/// A segmented WAL store rooted at one directory.
 pub struct DurableStore {
     dir: PathBuf,
     uuid: [u8; 16],
@@ -244,7 +188,7 @@ impl DurableStore {
     /// [`DurableStore::open`], never through silent re-initialization.
     pub fn create(dir: &Path, options: StoreOptions) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        if !wal::list_segments(dir)?.is_empty() || !snapshot::list_snapshots(dir)?.is_empty() {
+        if !wal::list_segments(dir)?.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("{}: durable store already exists; use open()", dir.display()),
@@ -257,56 +201,36 @@ impl DurableStore {
         Ok(Self { dir: dir.to_path_buf(), uuid, writer, ops: 0, options, counters })
     }
 
-    /// Open an existing store: find the latest durable snapshot, replay
-    /// the WAL tail (truncating a torn final record), and position the
-    /// log for further appends.
+    /// Open an existing store: replay every segment from the first
+    /// (truncating a torn final record) and position the log for further
+    /// appends.
     pub fn open(dir: &Path, options: StoreOptions) -> io::Result<(Self, Recovered)> {
-        fsutil::remove_stale_tmp(dir)?;
         let segments = wal::list_segments(dir)?;
-        let snapshots = snapshot::list_snapshots(dir)?;
-        if segments.is_empty() && snapshots.is_empty() {
+        let Some(&(first, _)) = segments.first() else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
-                format!("{}: not a durable store (no segments or snapshots)", dir.display()),
+                format!("{}: not a durable store (no segments)", dir.display()),
             ));
-        }
-
-        let snap = match snapshots.last() {
-            Some(&(num, ref path)) => Some(snapshot::read_snapshot(path, num)?),
-            None => None,
         };
-        let mut uuid = snap.as_ref().map(|s| s.uuid);
-        let watermark = snap.as_ref().map_or(0, |s| s.covers_through);
-
-        // Replay range: everything after the watermark, contiguously.
-        let tail: Vec<&(u64, PathBuf)> =
-            segments.iter().filter(|(num, _)| *num > watermark).collect();
-        if let Some(&&(first, _)) = tail.first() {
-            if snap.is_some() && first != watermark + 1 {
-                return Err(corrupt(format!(
-                    "segment gap: snapshot covers through {watermark} but the next segment is \
-                     {first}"
-                )));
-            }
-            for pair in tail.windows(2) {
-                if pair[1].0 != pair[0].0 + 1 {
-                    return Err(corrupt(format!(
-                        "segment gap: {} jumps to {}",
-                        pair[0].0, pair[1].0
-                    )));
-                }
-            }
-            if snap.is_none() && first != segments[0].0 {
-                unreachable!("tail starts at the first segment when no snapshot exists");
+        if first != 1 {
+            return Err(corrupt(format!(
+                "{}: segment 1 (wal_00000001.seg) is missing; the log starts at segment {first}",
+                dir.display()
+            )));
+        }
+        for pair in segments.windows(2) {
+            if pair[1].0 != pair[0].0 + 1 {
+                return Err(corrupt(format!("segment gap: {} jumps to {}", pair[0].0, pair[1].0)));
             }
         }
 
         let counters = Counters::new(&options.metrics);
+        let mut uuid = None;
         let mut records = Vec::new();
         let mut torn = false;
-        let mut live: Option<wal::SegmentWriter> = None;
-        for (i, &&(num, ref path)) in tail.iter().enumerate() {
-            let last = i + 1 == tail.len();
+        let mut live = None;
+        for (i, (num, path)) in segments.iter().enumerate() {
+            let (num, last) = (*num, i + 1 == segments.len());
             match wal::read_segment(path, num, &mut uuid, last)? {
                 wal::SegmentRead::Valid { records: recs, truncated_to } => {
                     if let Some(c) = &counters {
@@ -338,27 +262,9 @@ impl DurableStore {
             }
         }
 
-        let uuid = uuid.expect("uuid established from snapshot or at least one segment");
-        let writer = match live {
-            Some(w) => w,
-            None => {
-                // Every post-watermark segment was compacted away (or a
-                // crash hit between snapshot rename and the next segment's
-                // creation): start a fresh one.
-                let w = wal::SegmentWriter::create(dir, watermark + 1, uuid)?;
-                fsutil::fsync_dir(dir)?;
-                w
-            }
-        };
-
-        let recovered = Recovered {
-            snapshot: snap.map(|s| RecoveredSnapshot {
-                covers_through: s.covers_through,
-                sections: s.sections,
-            }),
-            records,
-            torn_tail_recovered: torn,
-        };
+        let uuid = uuid.expect("uuid established from at least one segment header");
+        let writer = live.expect("the final segment is always reopened or re-seeded");
+        let recovered = Recovered { records, torn_tail_recovered: torn };
         Ok((
             Self { dir: dir.to_path_buf(), uuid, writer, ops: 0, options, counters },
             recovered,
@@ -408,44 +314,6 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Write a snapshot of the caller's full state: seal the live
-    /// segment, persist `sections` with the temp-file + rename + fsync
-    /// discipline under a watermark covering every segment so far, open
-    /// a fresh segment, and compact per the retention policy.
-    pub fn snapshot(&mut self, sections: &[(u32, Vec<u8>)]) -> io::Result<()> {
-        self.sync()?;
-        let watermark = self.writer.segment_number();
-        let bytes = snapshot::write_snapshot(&self.dir, watermark, self.uuid, sections)?;
-        self.rotate()?;
-        self.compact(watermark)?;
-        if let Some(c) = &self.counters {
-            c.snap_written.inc();
-            c.snap_bytes.add(bytes);
-        }
-        Ok(())
-    }
-
-    /// Delete WAL segments fully covered by the `watermark` snapshot and
-    /// superseded snapshots, keeping whatever the retention policy says.
-    fn compact(&self, watermark: u64) -> io::Result<()> {
-        let keep = match self.options.retention {
-            Retention::KeepAll => return Ok(()),
-            Retention::KeepLast(n) => n,
-        };
-        let covered: Vec<(u64, PathBuf)> = wal::list_segments(&self.dir)?
-            .into_iter()
-            .filter(|(num, _)| *num <= watermark)
-            .collect();
-        for (_, path) in covered.iter().rev().skip(keep) {
-            std::fs::remove_file(path)?;
-        }
-        let snapshots = snapshot::list_snapshots(&self.dir)?;
-        for (_, path) in snapshots.iter().rev().skip(keep + 1) {
-            std::fs::remove_file(path)?;
-        }
-        fsutil::fsync_dir(&self.dir)
-    }
-
     /// Appends attempted so far on this handle (the failpoint op
     /// counter).
     pub fn ops(&self) -> u64 {
@@ -457,7 +325,7 @@ impl DurableStore {
         self.writer.segment_number()
     }
 
-    /// The store UUID stamped into every segment and snapshot.
+    /// The store UUID stamped into every segment.
     pub fn uuid(&self) -> [u8; 16] {
         self.uuid
     }

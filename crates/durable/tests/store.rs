@@ -1,11 +1,10 @@
 //! Lifecycle and corruption coverage for the durable store: the
-//! append/sync/rotate/snapshot path, compaction under both retention
-//! policies, failpoint kills (clean and torn-tail), and every
-//! corruption class the format is supposed to detect — flipped CRC
-//! byte, short segment header, wrong magic/version/UUID, torn final
-//! record.
+//! append/sync/rotate path, failpoint kills (clean and torn-tail), and
+//! every corruption class the format is supposed to detect — flipped
+//! CRC byte, short segment header, wrong magic/version/UUID, a missing
+//! or skipped segment, torn final record.
 
-use durable::{DurableStore, Failpoint, Retention, StoreOptions};
+use durable::{DurableStore, Failpoint, StoreOptions};
 use std::path::{Path, PathBuf};
 
 struct TempDir(PathBuf);
@@ -37,27 +36,7 @@ impl Drop for TempDir {
 }
 
 fn opts() -> StoreOptions {
-    StoreOptions { retention: Retention::KeepAll, ..StoreOptions::default() }
-}
-
-fn segment_files(dir: &Path) -> Vec<String> {
-    let mut out: Vec<String> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("wal_"))
-        .collect();
-    out.sort();
-    out
-}
-
-fn snapshot_files(dir: &Path) -> Vec<String> {
-    let mut out: Vec<String> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("snap_"))
-        .collect();
-    out.sort();
-    out
+    StoreOptions::default()
 }
 
 #[test]
@@ -71,7 +50,6 @@ fn append_sync_reopen_replays_everything_in_order() {
     drop(store);
 
     let (_, recovered) = DurableStore::open(tmp.path(), opts()).unwrap();
-    assert!(recovered.snapshot.is_none());
     assert!(!recovered.torn_tail_recovered);
     assert_eq!(recovered.records.len(), 100);
     for (i, rec) in recovered.records.iter().enumerate() {
@@ -99,11 +77,7 @@ fn open_refuses_an_empty_directory() {
 #[test]
 fn rotation_spreads_records_across_segments() {
     let tmp = TempDir::new("rotate");
-    let options = StoreOptions {
-        segment_max_bytes: 256,
-        retention: Retention::KeepAll,
-        ..StoreOptions::default()
-    };
+    let options = StoreOptions { segment_max_bytes: 256, ..StoreOptions::default() };
     let mut store = DurableStore::create(tmp.path(), options.clone()).unwrap();
     for i in 0u32..50 {
         store.append(1, format!("record-number-{i:04}").as_bytes()).unwrap();
@@ -118,62 +92,9 @@ fn rotation_spreads_records_across_segments() {
 }
 
 #[test]
-fn snapshot_restores_sections_and_tail_records() {
-    let tmp = TempDir::new("snapshot");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"before-snap").unwrap();
-    store
-        .snapshot(&[(10, b"state-a".to_vec()), (11, b"state-b".to_vec())])
-        .unwrap();
-    store.append(2, b"after-snap").unwrap();
-    store.sync().unwrap();
-    drop(store);
-
-    let (_, recovered) = DurableStore::open(tmp.path(), opts()).unwrap();
-    let snap = recovered.snapshot.expect("snapshot must be found");
-    assert_eq!(snap.sections, vec![(10, b"state-a".to_vec()), (11, b"state-b".to_vec())]);
-    // Only the tail after the watermark replays; "before-snap" is covered.
-    assert_eq!(recovered.records.len(), 1);
-    assert_eq!(recovered.records[0].payload, b"after-snap");
-}
-
-#[test]
-fn keep_all_retention_deletes_nothing() {
-    let tmp = TempDir::new("keepall");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    for round in 0u32..3 {
-        store.append(1, &round.to_le_bytes()).unwrap();
-        store.snapshot(&[(1, vec![round as u8])]).unwrap();
-    }
-    assert_eq!(segment_files(tmp.path()).len(), 4);
-    assert_eq!(snapshot_files(tmp.path()).len(), 3);
-}
-
-#[test]
-fn keep_last_retention_compacts_covered_segments_and_old_snapshots() {
-    let tmp = TempDir::new("keeplast");
-    let options = StoreOptions { retention: Retention::KeepLast(1), ..StoreOptions::default() };
-    let mut store = DurableStore::create(tmp.path(), options.clone()).unwrap();
-    for round in 0u32..4 {
-        store.append(1, &round.to_le_bytes()).unwrap();
-        store.snapshot(&[(1, vec![round as u8])]).unwrap();
-    }
-    // One covered segment kept + the fresh live one; live snapshot + one
-    // predecessor.
-    assert_eq!(segment_files(tmp.path()), vec!["wal_00000004.seg", "wal_00000005.seg"]);
-    assert_eq!(snapshot_files(tmp.path()), vec!["snap_00000003.snap", "snap_00000004.snap"]);
-    drop(store);
-
-    let (_, recovered) = DurableStore::open(tmp.path(), options).unwrap();
-    assert_eq!(recovered.snapshot.unwrap().sections, vec![(1, vec![3u8])]);
-    assert!(recovered.records.is_empty());
-}
-
-#[test]
 fn failpoint_kills_the_exact_op_and_is_recognizable() {
     let tmp = TempDir::new("failpoint");
     let options = StoreOptions {
-        retention: Retention::KeepAll,
         failpoint: Failpoint { kill_at_op: Some(3), torn_tail: false },
         ..StoreOptions::default()
     };
@@ -195,7 +116,6 @@ fn failpoint_kills_the_exact_op_and_is_recognizable() {
 fn torn_tail_from_a_failpoint_kill_is_truncated_and_recovered() {
     let tmp = TempDir::new("torntail");
     let options = StoreOptions {
-        retention: Retention::KeepAll,
         failpoint: Failpoint { kill_at_op: Some(3), torn_tail: true },
         ..StoreOptions::default()
     };
@@ -225,7 +145,6 @@ fn torn_tail_from_a_failpoint_kill_is_truncated_and_recovered() {
 fn torn_final_record_with_empty_payload_is_recovered_too() {
     let tmp = TempDir::new("tornempty");
     let options = StoreOptions {
-        retention: Retention::KeepAll,
         failpoint: Failpoint { kill_at_op: Some(2), torn_tail: true },
         ..StoreOptions::default()
     };
@@ -369,14 +288,15 @@ fn segment_number_mismatch_is_detected() {
     let tmp = TempDir::new("renamed");
     let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
     store.append(1, b"x").unwrap();
+    store.rotate().unwrap();
+    store.append(1, b"y").unwrap();
     store.sync().unwrap();
     drop(store);
 
-    std::fs::rename(
-        tmp.path().join("wal_00000001.seg"),
-        tmp.path().join("wal_00000003.seg"),
-    )
-    .unwrap();
+    // Segment 1's bytes under segment 2's name: the numbering is
+    // contiguous, but the header says otherwise.
+    std::fs::copy(tmp.path().join("wal_00000001.seg"), tmp.path().join("wal_00000002.seg"))
+        .unwrap();
 
     let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
     assert!(err.to_string().contains("file name says"), "{err}");
@@ -401,62 +321,21 @@ fn segment_gap_is_detected() {
 }
 
 #[test]
-fn corrupt_snapshot_section_is_detected() {
-    let tmp = TempDir::new("snapcrc");
+fn missing_first_segment_is_detected() {
+    let tmp = TempDir::new("nofirst");
     let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
-    store.snapshot(&[(5, b"important-state".to_vec())]).unwrap();
-    drop(store);
-
-    let path = tmp.path().join("snap_00000001.snap");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("CRC mismatch in section"), "{err}");
-}
-
-#[test]
-fn wrong_snapshot_magic_and_version_are_detected() {
-    let tmp = TempDir::new("snaphdr");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
-    store.snapshot(&[(5, b"state".to_vec())]).unwrap();
-    drop(store);
-
-    let path = tmp.path().join("snap_00000001.snap");
-    let good = std::fs::read(&path).unwrap();
-
-    let mut bad = good.clone();
-    bad[0] = b'Z';
-    std::fs::write(&path, &bad).unwrap();
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("bad snapshot magic"), "{err}");
-
-    let mut bad = good.clone();
-    bad[8] = 42;
-    std::fs::write(&path, &bad).unwrap();
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("unsupported snapshot format version"), "{err}");
-}
-
-#[test]
-fn stale_snapshot_tmp_file_is_swept_on_open() {
-    let tmp = TempDir::new("staletmp");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
+    store.append(1, b"a").unwrap();
+    store.rotate().unwrap();
+    store.append(1, b"b").unwrap();
     store.sync().unwrap();
     drop(store);
 
-    // A crash mid-snapshot leaves the temp file; the rename never ran.
-    std::fs::write(tmp.path().join("snap_00000001.snap.tmp"), b"half-written").unwrap();
+    // Replaying from segment 2 would silently drop record "a".
+    std::fs::remove_file(tmp.path().join("wal_00000001.seg")).unwrap();
 
-    let (_, recovered) = DurableStore::open(tmp.path(), opts()).unwrap();
-    assert!(recovered.snapshot.is_none());
-    assert_eq!(recovered.records.len(), 1);
-    assert!(!tmp.path().join("snap_00000001.snap.tmp").exists());
+    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("wal_00000001.seg"), "{err}");
 }
 
 #[test]
@@ -464,33 +343,29 @@ fn metrics_counters_track_the_lifecycle() {
     let tmp = TempDir::new("metrics");
     let registry = obs::Registry::new();
     let options = StoreOptions {
-        retention: Retention::KeepAll,
         metrics: Some(registry.clone()),
         ..StoreOptions::default()
     };
     let mut store = DurableStore::create(tmp.path(), options).unwrap();
     store.append(1, b"a").unwrap();
     store.append(1, b"b").unwrap();
-    store.snapshot(&[(1, b"s".to_vec())]).unwrap();
+    store.rotate().unwrap();
     store.append(1, b"c").unwrap();
     store.sync().unwrap();
     drop(store);
 
     let snap = registry.snapshot();
     assert_eq!(snap.counter("wal.appends"), Some(3));
-    assert_eq!(snap.counter("snapshot.written"), Some(1));
     assert!(snap.counter("wal.fsyncs").unwrap_or(0) >= 2);
-    assert!(snap.counter("wal.rotations").unwrap_or(0) >= 1);
-    assert!(snap.counter("snapshot.bytes").unwrap_or(0) > 0);
+    assert_eq!(snap.counter("wal.rotations"), Some(1));
 
     // Replay counts land in a fresh registry on open.
     let reopen_registry = obs::Registry::new();
     let reopen_options = StoreOptions {
-        retention: Retention::KeepAll,
         metrics: Some(reopen_registry.clone()),
         ..StoreOptions::default()
     };
     let (_, recovered) = DurableStore::open(tmp.path(), reopen_options).unwrap();
-    assert_eq!(recovered.records.len(), 1);
-    assert_eq!(reopen_registry.snapshot().counter("wal.replayed_records"), Some(1));
+    assert_eq!(recovered.records.len(), 3);
+    assert_eq!(reopen_registry.snapshot().counter("wal.replayed_records"), Some(3));
 }

@@ -48,19 +48,6 @@ pub fn pagerank(g: &DiGraph, damping: f64, tol: f64, max_iter: usize) -> Vec<f64
     rank
 }
 
-/// Indices of the top-`k` nodes by score, descending (ties by index).
-pub fn top_k(scores: &[f64], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .expect("finite scores")
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +75,6 @@ mod tests {
         for v in 1..5 {
             assert!(r[0] > r[v], "hub must outrank leaf {v}");
         }
-        assert_eq!(top_k(&r, 1), vec![0]);
     }
 
     #[test]
@@ -117,12 +103,5 @@ mod tests {
         let r = pagerank(&g, 0.85, 1e-12, 500);
         assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-6);
         assert!(r[1] > r[0]);
-    }
-
-    #[test]
-    fn top_k_orders_descending() {
-        let scores = [0.1, 0.5, 0.3];
-        assert_eq!(top_k(&scores, 2), vec![1, 2]);
-        assert_eq!(top_k(&scores, 10), vec![1, 2, 0]);
     }
 }

@@ -755,13 +755,12 @@ fn crash_recovery_in(
     world: &World,
 ) -> Result<(), Failure> {
     let fail = |check: &str, d: String| Failure::new(check, d);
-    let durable = crawler::DurableConfig::default();
 
     // Uninterrupted journaled reference run: the byte-identity target,
     // and the WAL-op count the kill fraction indexes into.
     let reference_crawler = crawler_for();
     let reference = reference_crawler
-        .full_crawl_durable(&base.join("reference"), &durable)
+        .full_crawl_durable(&base.join("reference"), crawler::Failpoint::default())
         .map_err(|e| fail("crash.reference", e.to_string()))?;
     let total_ops = reference_crawler
         .metrics
@@ -775,11 +774,8 @@ fn crash_recovery_in(
     // Map the unit-interval fraction onto a concrete op in [1, W].
     let kill_at = 1 + (sc.kill_fraction * (total_ops - 1) as f64) as u64;
     let killed_dir = base.join("killed");
-    let kill_cfg = crawler::DurableConfig {
-        failpoint: crawler::Failpoint { kill_at_op: Some(kill_at), torn_tail: sc.torn_tail },
-        ..crawler::DurableConfig::default()
-    };
-    match crawler_for().full_crawl_durable(&killed_dir, &kill_cfg) {
+    let failpoint = crawler::Failpoint { kill_at_op: Some(kill_at), torn_tail: sc.torn_tail };
+    match crawler_for().full_crawl_durable(&killed_dir, failpoint) {
         Ok(_) => {
             return Err(fail(
                 "crash.kill",
@@ -799,9 +795,8 @@ fn crash_recovery_in(
     // the same completed-prefix and the same store bytes (the first
     // open truncates any torn tail; the second sees a clean log).
     let recovered = |tag: &str| -> Result<(usize, Vec<Vec<u8>>), Failure> {
-        let (_, state) =
-            crawler::journal::Journal::recover(&killed_dir, &durable, obs::Registry::new())
-                .map_err(|e| fail("crash.replay", e.to_string()))?;
+        let (_, state) = crawler::journal::Journal::recover(&killed_dir, obs::Registry::new())
+            .map_err(|e| fail("crash.replay", e.to_string()))?;
         Ok((state.completed, persist_bytes(&state.store, &base.join(tag))?))
     };
     let (completed_a, bytes_a) = recovered("recover-a")?;
@@ -820,7 +815,7 @@ fn crash_recovery_in(
     // Resume must reconstruct the uninterrupted run byte for byte.
     let resumer = crawler_for();
     let (resumed, info) = resumer
-        .resume(&killed_dir, &durable)
+        .resume(&killed_dir)
         .map_err(|e| fail("crash.resume", e.to_string()))?;
     let resumed_bytes = persist_bytes(&resumed, &base.join("persist-resumed"))?;
     let reference_bytes = persist_bytes(&reference, &base.join("persist-reference"))?;

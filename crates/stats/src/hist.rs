@@ -46,16 +46,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// `(bin_center, count)` pairs.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * (i as f64 + 0.5), c))
-            .collect()
-    }
 }
 
 /// Group values into logarithmic bins: value `v > 0` lands in bin
@@ -93,14 +83,6 @@ mod tests {
         assert_eq!(h.counts()[0], 2);
         assert_eq!(h.counts()[5], 1);
         assert_eq!(h.counts()[9], 1);
-    }
-
-    #[test]
-    fn centers_are_midpoints() {
-        let h = Histogram::new(0.0, 1.0, 2);
-        let c = h.centers();
-        assert_eq!(c[0].0, 0.25);
-        assert_eq!(c[1].0, 0.75);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! completion and time the recovery + resume path.
 //!
 //! Besides the walls, the journaled pass reports the size of its journal
-//! directory and how its commits split into the `journal.entities`,
+//! (the one file in its directory) and how its commits split into the `journal.entities`,
 //! `journal.reval` and `journal.sync` spans (totals over its 7 phase
 //! commits, in ms).
 //!
@@ -122,7 +122,7 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
     });
     let store_off = store_off.unwrap();
 
-    // Regime B: same crawl journaled through the segmented WAL. The
+    // Regime B: same crawl journaled through the one-file WAL. The
     // faster pass's metrics and journal size are the ones reported.
     let mut on_result: Option<(u64, crawler::CrawlStore, Crawler, u64)> = None;
     let wal_on_ms = best_of(|i| {
@@ -158,7 +158,6 @@ pub fn run(args: &Args) -> Result<BenchReport, String> {
             .with("journal_bytes", journal_bytes)
             .with("appends", total_ops)
             .with("fsyncs", on_counter("wal.fsyncs"))
-            .with("rotations", on_counter("wal.rotations"))
             .with(
                 "commit_ms",
                 Value::object()

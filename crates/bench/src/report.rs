@@ -109,8 +109,9 @@ pub struct BenchReport {
     pub config: Value,
     /// CPUs available to the process.
     pub cpus: usize,
-    /// Short hash of the checked-out commit, or `"unknown"` outside a git
-    /// checkout (see [`head_commit`]).
+    /// Short hash of the checked-out commit (`-dirty` when tracked files
+    /// differed from it), or `"unknown"` outside a git checkout (see
+    /// [`head_commit`]).
     pub commit: String,
     /// Everything measured, gated or not.
     pub metrics: Value,
@@ -274,19 +275,30 @@ impl BenchReport {
 /// The `env.commit` of a report made outside a git checkout.
 pub const UNKNOWN_COMMIT: &str = "unknown";
 
-/// `git rev-parse --short HEAD` run in `dir`, or [`UNKNOWN_COMMIT`] when
-/// git is missing or `dir` is not inside a git checkout.
+/// `git rev-parse --short HEAD` run in `dir`, suffixed `-dirty` when a
+/// tracked file differs from HEAD (so an artifact made before its change
+/// was committed does not pass for the parent's), or [`UNKNOWN_COMMIT`]
+/// when git is missing or `dir` is not inside a git checkout.
 pub fn head_commit(dir: &Path) -> String {
-    Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(dir)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(hash) = git(&["rev-parse", "--short", "HEAD"])
         .map(|hash| hash.trim().to_owned())
         .filter(|hash| !hash.is_empty())
-        .unwrap_or_else(|| UNKNOWN_COMMIT.to_owned())
+    else {
+        return UNKNOWN_COMMIT.to_owned();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.trim().is_empty() => format!("{hash}-dirty"),
+        _ => hash,
+    }
 }
 
 /// A suite's command line, checked against the flags it declares.

@@ -2,16 +2,16 @@
 //!
 //! The paper's mirror took a 14-month longitudinal crawl; a process
 //! that long *will* be killed mid-flight. This module wires the crawl
-//! through [`durable`]'s segmented WAL so a killed crawl resumes instead
-//! of restarting:
+//! through [`durable`]'s WAL, one append-only file, so a killed crawl
+//! resumes instead of restarting:
 //!
 //! * after every completed phase, [`Journal::commit_phase`] appends the
 //!   phase's store mutations as WAL records (entity upserts, the shadow
-//!   validation counters), then any newly cached ETag representations
-//!   (so `If-None-Match` revalidation survives the crash), then a
-//!   checkpoint record, and syncs — the phase is durable once the
-//!   checkpoint is. The three steps run under the `journal.entities`,
-//!   `journal.reval` and `journal.sync` spans;
+//!   validation counters), then the ETag representations cached since
+//!   the previous commit (so `If-None-Match` revalidation survives the
+//!   crash), then a checkpoint record, and syncs — the phase is durable
+//!   once the checkpoint is. The three steps run under the
+//!   `journal.entities`, `journal.reval` and `journal.sync` spans;
 //! * [`Journal::recover`] rebuilds the store by replaying the whole WAL.
 //!   Records after the last checkpoint belong to an interrupted phase
 //!   boundary and are **discarded** (staged but never applied): the
@@ -28,7 +28,8 @@
 //! phases, each journaling only the store fields it owns, so every
 //! entity is written once; a snapshot of the full store would re-encode
 //! what the WAL already holds without shortening recovery, which reads
-//! the same records either way.
+//! the same records either way. Nothing is ever deleted from the WAL,
+//! so the journal directory holds one file.
 //!
 //! Entity payloads reuse [`crate::persist`]'s JSON codecs, so a WAL
 //! record and an archive line are the same bytes per entity. Crawl
@@ -41,7 +42,6 @@ use crate::store::CrawlStore;
 use durable::DurableStore;
 use httpnet::{Headers, Response, Status};
 use jsonlite::Value;
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
@@ -105,16 +105,16 @@ pub struct RecoveredState {
 #[derive(Debug)]
 pub struct Journal {
     store: DurableStore,
-    /// Keys already journaled as [`TAG_REVAL`] records, so each cached
-    /// representation is written once (ETags are content-derived; a key
-    /// never re-tags under a static world).
-    journaled_reval: HashSet<String>,
+    /// The revalidation cache's stamp up to which its entries are
+    /// journaled as [`TAG_REVAL`] records, so each cached representation
+    /// is written once (`RevalidationCache::for_each_entry_after`).
+    reval_cursor: u64,
     completed: usize,
     metrics: obs::Registry,
 }
 
 fn store_options(failpoint: Failpoint, metrics: &obs::Registry) -> durable::StoreOptions {
-    durable::StoreOptions { failpoint, metrics: Some(metrics.clone()), ..Default::default() }
+    durable::StoreOptions { failpoint, metrics: Some(metrics.clone()) }
 }
 
 impl Journal {
@@ -123,7 +123,7 @@ impl Journal {
     /// testing (`Failpoint::default()` disables it).
     pub fn create(dir: &Path, failpoint: Failpoint, metrics: obs::Registry) -> io::Result<Self> {
         let store = DurableStore::create(dir, store_options(failpoint, &metrics))?;
-        Ok(Self { store, journaled_reval: HashSet::new(), completed: 0, metrics })
+        Ok(Self { store, reval_cursor: 0, completed: 0, metrics })
     }
 
     /// Rebuild crawl state from `dir` by replaying the WAL with
@@ -167,12 +167,7 @@ impl Journal {
             }
         }
 
-        let journal = Self {
-            store: durable_store,
-            journaled_reval: reval_entries.iter().map(|(k, _)| k.clone()).collect(),
-            completed,
-            metrics,
-        };
+        let journal = Self { store: durable_store, reval_cursor: 0, completed, metrics };
         let state = RecoveredState {
             store,
             completed,
@@ -181,6 +176,13 @@ impl Journal {
             torn_tail_recovered,
         };
         Ok((journal, state))
+    }
+
+    /// Count every entry `cache` holds now as journaled: resume calls
+    /// this after seeding the cache with the recovered entries, which the
+    /// WAL already holds.
+    pub(crate) fn mark_reval_journaled(&mut self, cache: &httpnet::RevalidationCache) {
+        self.reval_cursor = cache.last_stamp();
     }
 
     /// Durably discard any staged (uncheckpointed) records: resume calls
@@ -206,18 +208,15 @@ impl Journal {
         span.finish();
         if let Some(cache) = reval {
             let _span = self.metrics.span("journal.reval");
-            let (wal, journaled) = (&mut self.store, &mut self.journaled_reval);
+            let wal = &mut self.store;
             let mut result = Ok(());
-            cache.for_each_entry(|key, resp| {
-                if result.is_err() || journaled.contains(key) {
-                    return;
-                }
-                result = wal.append(TAG_REVAL, &encode_reval(key, resp));
+            let cursor = cache.for_each_entry_after(self.reval_cursor, |key, resp| {
                 if result.is_ok() {
-                    journaled.insert(key.to_owned());
+                    result = wal.append(TAG_REVAL, &encode_reval(key, resp));
                 }
             });
             result?;
+            self.reval_cursor = cursor;
         }
         let _span = self.metrics.span("journal.sync");
         self.store.append(TAG_CHECKPOINT, &[phase.index() as u8])?;

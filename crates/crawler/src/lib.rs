@@ -282,9 +282,10 @@ impl Crawler {
     }
 
     /// [`Crawler::full_crawl`], journaled through a [`journal::Journal`]
-    /// rooted at `dir`: each phase is checkpointed into a segmented WAL
-    /// as it completes, so a killed crawl can pick up from the last
-    /// phase boundary via [`Crawler::resume`] instead of starting over.
+    /// rooted at `dir`: each phase is checkpointed into the journal's
+    /// append-only WAL file as it completes, so a killed crawl can pick
+    /// up from the last phase boundary via [`Crawler::resume`] instead of
+    /// starting over.
     /// `failpoint` kills the journal at a seeded append for crash tests
     /// (`Failpoint::default()` for a real crawl). Fails if `dir` already
     /// holds a journal.
@@ -317,6 +318,7 @@ impl Crawler {
             for (key, resp) in &state.reval_entries {
                 cache.store(key, resp);
             }
+            journal.mark_reval_journaled(cache);
         }
         journal.rollback()?;
         let info = ResumeInfo {

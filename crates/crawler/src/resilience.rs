@@ -504,7 +504,8 @@ impl<'a> PhaseRun<'a> {
                         continue;
                     }
                     StatusClass::Retryable => {
-                        let wait = policy.delay_for_response(&resp, failures, &mut rng);
+                        let wait =
+                            policy.delay_for_response(&resp, failures, &mut rng, clock.now());
                         (format!("http status {}", resp.status), wait)
                     }
                 },
@@ -582,11 +583,11 @@ const MAX_RESET_WAIT: Duration = Duration::from_secs(120);
 /// How long to wait out a 429, plus whether the peer's advice was
 /// absurd enough to be clamped (surfaced as the phase's
 /// `retry_after_clamped` counter). Preference order: the `Retry-After`
-/// header (delta-seconds or HTTP-date, capped by the policy's
-/// `max_backoff`), then `X-RateLimit-Reset` (absolute seconds on the
-/// caller's clock, the Gab/Dissenter convention — waited out **in
-/// full**, exactly like the paper's sleep-until-reset loop), then the
-/// computed backoff. `answered` (when the 429 was read) and `now` are
+/// header (delta-seconds, or an HTTP-date resolved against `now`;
+/// capped by the policy's `max_backoff`), then `X-RateLimit-Reset`
+/// (absolute seconds on the caller's clock, the Gab/Dissenter
+/// convention — waited out **in full**, exactly like the paper's
+/// sleep-until-reset loop), then the computed backoff. `answered` (when the 429 was read) and `now` are
 /// readings of the crawler's [`platform::Clock`], the one the server's
 /// reset refers to. The reset wait runs from `answered`, so a 429
 /// that sat in a pipelined batch while an earlier item waited out its
@@ -607,7 +608,7 @@ fn throttle_delay(
     answered: u64,
     now: u64,
 ) -> (Duration, bool) {
-    if let Some(ra) = parse_retry_after_detailed(resp) {
+    if let Some(ra) = parse_retry_after_detailed(resp, now) {
         return (ra.delay.min(policy.max_backoff), ra.clamped);
     }
     if let Some(reset) = resp.headers.get("x-ratelimit-reset").and_then(|v| v.parse::<u64>().ok()) {

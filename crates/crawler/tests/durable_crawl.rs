@@ -1,4 +1,4 @@
-//! Durable-crawl integration: journal a crawl through the segmented
+//! Durable-crawl integration: journal a crawl through the one-file
 //! WAL, kill it at a seeded failpoint, and prove resume reconstructs a
 //! store byte-identical to an uninterrupted run — with the completed
 //! phases replayed from disk instead of re-fetched.
@@ -144,6 +144,36 @@ fn killed_crawl_resumes_to_a_byte_identical_store() {
 }
 
 #[test]
+fn a_resumed_journal_holds_each_cached_representation_once() {
+    let world = tiny_world();
+    let services =
+        SimServices::simulated(world, crawler::default_server_config()).expect("services");
+    let journaled_keys = |dir: &Path| {
+        let (_, state) =
+            crawler::journal::Journal::recover(dir, obs::Registry::new()).expect("recover");
+        state.reval_entries.into_iter().map(|(key, _)| key).collect::<Vec<_>>()
+    };
+
+    let reference_dir = TempDir::new("once-ref");
+    let reference = crawler_for(&services);
+    reference.full_crawl_durable(&reference_dir.0, Failpoint::default()).expect("reference");
+    let total_ops = reference.metrics.snapshot().counter("wal.appends").expect("appends");
+    let mut want = journaled_keys(&reference_dir.0);
+    want.sort();
+
+    // Resume seeds the cache with every recovered representation; none
+    // of them may be journaled a second time.
+    let dir = TempDir::new("once");
+    let failpoint = Failpoint { kill_at_op: Some(total_ops * 3 / 5), torn_tail: false };
+    assert!(crawler_for(&services).full_crawl_durable(&dir.0, failpoint).is_err());
+    crawler_for(&services).resume(&dir.0).expect("resume");
+    let mut got = journaled_keys(&dir.0);
+    got.sort();
+    assert!(got.windows(2).all(|w| w[0] != w[1]), "a representation was journaled twice");
+    assert_eq!(got, want, "the resumed journal holds what an uninterrupted one does");
+}
+
+#[test]
 fn recovery_is_idempotent_before_resume() {
     let world = tiny_world();
     let services =
@@ -198,26 +228,17 @@ fn resume_skips_nothing_when_the_journal_is_complete() {
 }
 
 #[test]
-fn a_complete_journal_is_only_wal_segments() {
+fn a_complete_journal_is_one_file() {
     let world = tiny_world();
     let services =
         SimServices::simulated(world, crawler::default_server_config()).expect("services");
 
-    let dir = TempDir::new("walonly");
+    let dir = TempDir::new("onefile");
     crawler_for(&services).full_crawl_durable(&dir.0, Failpoint::default()).expect("crawl");
 
-    let mut names: Vec<String> = std::fs::read_dir(&dir.0)
+    let names: Vec<String> = std::fs::read_dir(&dir.0)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    names.sort();
-    assert!(!names.is_empty(), "a journaled crawl must leave its WAL behind");
-    for name in &names {
-        let digits = name.strip_prefix("wal_").and_then(|n| n.strip_suffix(".seg"));
-        assert!(
-            digits.is_some_and(|d| d.len() == 8 && d.bytes().all(|b| b.is_ascii_digit())),
-            "journal directory holds a non-WAL file {name}: {names:?}"
-        );
-    }
-    assert_eq!(names[0], "wal_00000001.seg", "the WAL starts at segment 1");
+    assert_eq!(names, ["journal.wal"], "a journaled crawl leaves exactly its journal file");
 }

@@ -64,7 +64,7 @@ pub struct StudyConfig {
     /// Peak-RSS ceiling enforced at stage boundaries (see
     /// [`MemoryBudget`]). Default: unlimited.
     pub memory_budget: MemoryBudget,
-    /// Journal the crawl to this directory (a segmented WAL; see
+    /// Journal the crawl to this directory (a one-file WAL; see
     /// `crawler::journal`). Default: in-memory only.
     pub journal_dir: Option<std::path::PathBuf>,
     /// Capacity of the client revalidation cache, enabling conditional
@@ -216,7 +216,7 @@ impl StudyBuilder {
         self
     }
 
-    /// Journal the crawl (a segmented WAL) under `dir`.
+    /// Journal the crawl (a one-file WAL) under `dir`.
     pub fn journal(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cfg.journal_dir = Some(dir.into());
         self

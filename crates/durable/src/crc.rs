@@ -34,7 +34,11 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = build_tables();
 
-fn update(mut crc: u32, mut bytes: &[u8]) -> u32 {
+/// The running state [`update`] starts from; the CRC is its complement.
+pub(crate) const INIT: u32 = 0xFFFF_FFFF;
+
+/// Fold `bytes` into a running CRC state.
+pub(crate) fn update(mut crc: u32, mut bytes: &[u8]) -> u32 {
     while let Some((chunk, rest)) = bytes.split_first_chunk::<8>() {
         let low = u32::from_le_bytes(chunk[..4].try_into().unwrap()) ^ crc;
         crc = TABLES[7][(low & 0xFF) as usize]
@@ -54,8 +58,8 @@ fn update(mut crc: u32, mut bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 over a sequence of byte slices (concatenation semantics).
-pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
+    let mut crc = INIT;
     for part in parts {
         crc = update(crc, part);
     }

@@ -5,7 +5,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// Fsync a directory so a rename or file creation inside it is durable.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 

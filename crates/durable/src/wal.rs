@@ -1,87 +1,72 @@
-//! Segmented WAL files: `wal_{:08}.seg`, a fixed 40-byte header
-//! (`DSRWALv1` magic, format version, flags, segment number, store
-//! UUID) followed by record frames `[len u32][tag u32][crc u32][payload]`
-//! with the CRC32 taken over `tag_le ++ payload`. All integers little
-//! endian.
+//! The journal file `journal.wal`: a 12-byte header (`DSRWALv1` magic,
+//! format version) followed by record frames
+//! `[len u32][tag u32][crc u32][payload]` with the CRC32 taken over
+//! `tag_le ++ payload`. All integers little endian.
 
-use crate::{corrupt, crc::crc32, FORMAT_VERSION, WAL_MAGIC};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use crate::{corrupt, crc, FORMAT_VERSION, WAL_MAGIC};
+use std::io::{self, BufReader, Read, Seek, Write};
+use std::path::Path;
 
-/// Bytes in a segment header.
-pub(crate) const HEADER_LEN: u64 = 40;
+/// The one file a store directory holds.
+pub(crate) const FILE_NAME: &str = "journal.wal";
+/// Bytes in the file header (magic + version).
+const HEADER_LEN: u64 = 12;
 /// Bytes in a record frame header (len + tag + crc).
 const FRAME_LEN: usize = 12;
 
-fn segment_path(dir: &Path, num: u64) -> PathBuf {
-    dir.join(format!("wal_{num:08}.seg"))
+fn frame_header(tag: u32, payload: &[u8]) -> [u8; FRAME_LEN] {
+    let crc = crc::crc32(&[&tag.to_le_bytes(), payload]);
+    let mut header = [0u8; FRAME_LEN];
+    header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&tag.to_le_bytes());
+    header[8..12].copy_from_slice(&crc.to_le_bytes());
+    header
 }
 
-/// All segments in `dir`, sorted by segment number.
-pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if let Some(num) = name
-            .strip_prefix("wal_")
-            .and_then(|rest| rest.strip_suffix(".seg"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            out.push((num, path));
-        }
-    }
-    out.sort_unstable_by_key(|(num, _)| *num);
-    Ok(out)
-}
-
-fn frame(tag: u32, payload: &[u8]) -> Vec<u8> {
-    let crc = crc32(&[&tag.to_le_bytes(), payload]);
-    let mut buf = Vec::with_capacity(FRAME_LEN + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
-}
-
-/// Appender over one live segment file.
-pub(crate) struct SegmentWriter {
+/// Appender over the journal file.
+pub(crate) struct Writer {
     out: io::BufWriter<std::fs::File>,
-    seg_no: u64,
-    bytes: u64,
 }
 
-impl SegmentWriter {
-    /// Create segment `num` in `dir` with a synced header. Fails if the
-    /// file already exists (segment numbers are never reused silently).
-    pub(crate) fn create(dir: &Path, num: u64, uuid: [u8; 16]) -> io::Result<Self> {
-        let path = segment_path(dir, num);
-        let file = std::fs::OpenOptions::new().write(true).create_new(true).open(&path)?;
+impl Writer {
+    /// Create the file at `path` with a synced header. Fails with
+    /// `AlreadyExists` if it exists.
+    pub(crate) fn create(path: &Path) -> io::Result<Self> {
+        let file = std::fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+        Self::seed(file)
+    }
+
+    /// Write and sync the header into an empty `file`.
+    fn seed(file: std::fs::File) -> io::Result<Self> {
         let mut out = io::BufWriter::new(file);
         out.write_all(&WAL_MAGIC)?;
         out.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        out.write_all(&0u32.to_le_bytes())?; // flags, reserved
-        out.write_all(&num.to_le_bytes())?;
-        out.write_all(&uuid)?;
         out.flush()?;
         out.get_ref().sync_all()?;
-        Ok(Self { out, seg_no: num, bytes: HEADER_LEN })
+        Ok(Self { out })
     }
 
-    /// Reopen a validated segment for further appends at its current end.
-    pub(crate) fn reopen(path: &Path, num: u64) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new().append(true).open(path)?;
-        let bytes = file.metadata()?.len();
-        Ok(Self { out: io::BufWriter::new(file), seg_no: num, bytes })
+    /// Reopen a replayed file for appends at `end`, the end of its last
+    /// complete frame: a torn tail past `end` is cut off and synced
+    /// away first, and a file that never got its header (`end` 0) is
+    /// re-seeded in place.
+    pub(crate) fn reopen(path: &Path, end: u64) -> io::Result<Self> {
+        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+        if file.metadata()?.len() != end {
+            file.set_len(end)?;
+            file.sync_all()?;
+        }
+        if end == 0 {
+            return Self::seed(file);
+        }
+        file.seek(io::SeekFrom::End(0))?;
+        Ok(Self { out: io::BufWriter::new(file) })
     }
 
-    /// Buffered frame write; durable only after [`SegmentWriter::sync`].
+    /// Buffered frame write; durable only after [`Writer::sync`].
     pub(crate) fn append(&mut self, tag: u32, payload: &[u8]) -> io::Result<()> {
-        let buf = frame(tag, payload);
-        self.out.write_all(&buf)?;
-        self.bytes += buf.len() as u64;
-        Ok(())
+        self.out.write_all(&frame_header(tag, payload))?;
+        self.out.write_all(payload)
     }
 
     /// Flush and fsync everything appended so far.
@@ -93,120 +78,119 @@ impl SegmentWriter {
     /// Write a deliberately incomplete frame (the on-disk shape a kill
     /// mid-append leaves behind) and flush it so recovery sees it.
     pub(crate) fn write_torn_record(&mut self, tag: u32, payload: &[u8]) -> io::Result<()> {
-        let buf = frame(tag, payload);
         // Cut inside the payload when there is one, else inside the
         // frame header — either way the frame is unreadable past `len`.
-        let cut = if payload.is_empty() { 8 } else { FRAME_LEN + payload.len() / 2 };
-        self.out.write_all(&buf[..cut])?;
-        self.bytes += cut as u64;
-        self.out.flush()?;
-        self.out.get_ref().sync_all()
-    }
-
-    /// Total bytes written to the segment, header included.
-    pub(crate) fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// This segment's number.
-    pub(crate) fn segment_number(&self) -> u64 {
-        self.seg_no
-    }
-}
-
-/// What reading one segment produced.
-pub(crate) enum SegmentRead {
-    /// Header validated; `records` decoded. `truncated_to` is set when a
-    /// torn tail was found at that byte offset (final segment only).
-    Valid { records: Vec<crate::Record>, truncated_to: Option<u64> },
-    /// The file is shorter than a segment header — a crash landed
-    /// between file creation and the header write. Final segment only;
-    /// anywhere else it is reported as corruption.
-    TornHeader,
-}
-
-/// Read and validate segment `num` at `path`. `uuid` is the store UUID
-/// established so far (`None` until the first header is seen); `last`
-/// marks the final segment, the only place torn-tail recovery applies —
-/// anomalies in sealed segments are hard errors.
-pub(crate) fn read_segment(
-    path: &Path,
-    num: u64,
-    uuid: &mut Option<[u8; 16]>,
-    last: bool,
-) -> io::Result<SegmentRead> {
-    let bytes = std::fs::read(path)?;
-    let name = path.display();
-    if (bytes.len() as u64) < HEADER_LEN {
-        if last {
-            return Ok(SegmentRead::TornHeader);
+        let header = frame_header(tag, payload);
+        if payload.is_empty() {
+            self.out.write_all(&header[..8])?;
+        } else {
+            self.out.write_all(&header)?;
+            self.out.write_all(&payload[..payload.len() / 2])?;
         }
-        return Err(corrupt(format!("{name}: short segment header ({} bytes)", bytes.len())));
+        self.sync()
     }
-    if bytes[..8] != WAL_MAGIC {
+}
+
+/// What replaying the journal file produced.
+pub(crate) struct Replay {
+    /// Every complete frame, in append order.
+    pub(crate) records: Vec<crate::Record>,
+    /// Byte offset just past the last complete frame (0 when the file
+    /// is shorter than its header).
+    pub(crate) end: u64,
+    /// The file held a torn tail past `end`, or no complete header.
+    pub(crate) torn: bool,
+}
+
+/// Read and validate the journal file at `path` through a buffered
+/// reader. Only the final frame may be torn: one cut short by
+/// end-of-file, or failing its CRC with nothing after it. A frame that
+/// fails its CRC with more bytes after it is corruption, and so is a
+/// "torn" final frame whose CRC matches a shorter span of the bytes
+/// that follow — its length field was damaged, and the bytes past that
+/// span are records a truncation would drop.
+pub(crate) fn replay(path: &Path) -> io::Result<Replay> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let name = path.display();
+    if len < HEADER_LEN {
+        return Ok(Replay { records: Vec::new(), end: 0, torn: true });
+    }
+    let mut reader = BufReader::new(file);
+    let mut header = [0u8; HEADER_LEN as usize];
+    reader.read_exact(&mut header)?;
+    if header[..8] != WAL_MAGIC {
         return Err(corrupt(format!("{name}: bad WAL magic")));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
     if version != FORMAT_VERSION {
         return Err(corrupt(format!(
             "{name}: unsupported WAL format version {version} (expected {FORMAT_VERSION})"
         )));
     }
-    let seg_no = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if seg_no != num {
-        return Err(corrupt(format!(
-            "{name}: header says segment {seg_no} but the file name says {num}"
-        )));
-    }
-    let file_uuid: [u8; 16] = bytes[24..40].try_into().unwrap();
-    match *uuid {
-        Some(expected) if expected != file_uuid => {
-            return Err(corrupt(format!("{name}: store UUID mismatch (foreign segment?)")));
-        }
-        Some(_) => {}
-        None => *uuid = Some(file_uuid),
-    }
 
     let mut records = Vec::new();
-    let mut offset = HEADER_LEN as usize;
-    let mut truncated_to = None;
-    while offset < bytes.len() {
-        let frame_ok = (|| {
-            let header = bytes.get(offset..offset + FRAME_LEN)?;
-            let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-            let tag = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            let crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
-            let payload = bytes.get(offset + FRAME_LEN..offset + FRAME_LEN + len)?;
-            if crc32(&[&tag.to_le_bytes(), payload]) != crc {
-                return None;
+    let mut offset = HEADER_LEN;
+    let torn = |records, end| Ok(Replay { records, end, torn: true });
+    while offset < len {
+        let rest = len - offset;
+        if rest < FRAME_LEN as u64 {
+            return torn(records, offset);
+        }
+        let mut frame = [0u8; FRAME_LEN];
+        reader.read_exact(&mut frame)?;
+        let field =
+            |i: usize| u32::from_le_bytes(frame[i..i + 4].try_into().expect("4-byte slice"));
+        let (payload_len, tag, crc) = (field(0) as u64, field(4), field(8));
+        let available = rest - FRAME_LEN as u64;
+        let bad_length =
+            || corrupt(format!("{name}: record at byte {offset} has a corrupt length field"));
+        if payload_len > available {
+            if crc_matches_a_prefix(&mut reader, available, tag, crc)? {
+                return Err(bad_length());
             }
-            Some((tag, payload.to_vec(), FRAME_LEN + len))
-        })();
-        match frame_ok {
-            Some((tag, payload, advance)) => {
-                records.push(crate::Record { tag, payload });
-                offset += advance;
-            }
-            None if last => {
-                // A kill mid-append: everything up to here is good, the
-                // rest is the torn tail.
-                truncated_to = Some(offset as u64);
-                break;
-            }
-            None => {
+            return torn(records, offset);
+        }
+        let mut payload = vec![0u8; payload_len as usize];
+        reader.read_exact(&mut payload)?;
+        if crc::crc32(&[&tag.to_le_bytes(), &payload]) != crc {
+            if payload_len < available {
                 return Err(corrupt(format!(
-                    "{name}: corrupt record at byte {offset} in a sealed segment"
+                    "{name}: corrupt record at byte {offset} with {} bytes after it",
+                    available - payload_len
                 )));
             }
+            if crc_matches_a_prefix(payload.as_slice(), payload_len, tag, crc)? {
+                return Err(bad_length());
+            }
+            return torn(records, offset);
         }
+        records.push(crate::Record { tag, payload });
+        offset += FRAME_LEN as u64 + payload_len;
     }
-    Ok(SegmentRead::Valid { records, truncated_to })
+    Ok(Replay { records, end: offset, torn: false })
 }
 
-/// Cut a torn tail off: truncate the segment file to `end` bytes and
-/// sync it.
-pub(crate) fn truncate_segment(path: &Path, end: u64) -> io::Result<()> {
-    let file = std::fs::OpenOptions::new().write(true).open(path)?;
-    file.set_len(end)?;
-    file.sync_all()
+/// Whether `crc` is the CRC of `tag` followed by some prefix of the
+/// next `n` bytes of `bytes`, read in chunks so an unreadable frame
+/// near the start of a large file costs no memory.
+fn crc_matches_a_prefix(mut bytes: impl Read, n: u64, tag: u32, crc: u32) -> io::Result<bool> {
+    let mut state = crc::update(crc::INIT, &tag.to_le_bytes());
+    if !state == crc {
+        return Ok(true);
+    }
+    let mut chunk = [0u8; 8192];
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(chunk.len() as u64) as usize;
+        bytes.read_exact(&mut chunk[..take])?;
+        for &b in &chunk[..take] {
+            state = crc::update(state, &[b]);
+            if !state == crc {
+                return Ok(true);
+            }
+        }
+        left -= take as u64;
+    }
+    Ok(false)
 }

@@ -1,8 +1,8 @@
 //! Lifecycle and corruption coverage for the durable store: the
-//! append/sync/rotate path, failpoint kills (clean and torn-tail), and
-//! every corruption class the format is supposed to detect — flipped
-//! CRC byte, short segment header, wrong magic/version/UUID, a missing
-//! or skipped segment, torn final record.
+//! append/sync path, failpoint kills (clean and torn-tail), and every
+//! corruption class the format is supposed to detect — a flipped byte
+//! anywhere in an earlier record, a short file header, wrong
+//! magic/version, a torn final record cut at any byte.
 
 use durable::{DurableStore, Failpoint, StoreOptions};
 use std::path::{Path, PathBuf};
@@ -39,6 +39,14 @@ fn opts() -> StoreOptions {
     StoreOptions::default()
 }
 
+fn journal_file(dir: &Path) -> PathBuf {
+    dir.join("journal.wal")
+}
+
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
 #[test]
 fn append_sync_reopen_replays_everything_in_order() {
     let tmp = TempDir::new("roundtrip");
@@ -72,23 +80,6 @@ fn open_refuses_an_empty_directory() {
     let tmp = TempDir::new("notastore");
     let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-}
-
-#[test]
-fn rotation_spreads_records_across_segments() {
-    let tmp = TempDir::new("rotate");
-    let options = StoreOptions { segment_max_bytes: 256, ..StoreOptions::default() };
-    let mut store = DurableStore::create(tmp.path(), options.clone()).unwrap();
-    for i in 0u32..50 {
-        store.append(1, format!("record-number-{i:04}").as_bytes()).unwrap();
-    }
-    store.sync().unwrap();
-    assert!(store.segment_number() > 1, "256-byte cap must have forced rotations");
-    drop(store);
-
-    let (_, recovered) = DurableStore::open(tmp.path(), options).unwrap();
-    assert_eq!(recovered.records.len(), 50);
-    assert_eq!(recovered.records[49].payload, b"record-number-0049");
 }
 
 #[test]
@@ -160,70 +151,97 @@ fn torn_final_record_with_empty_payload_is_recovered_too() {
 }
 
 #[test]
-fn flipped_crc_byte_in_a_sealed_segment_is_detected() {
+fn flipping_any_byte_of_an_earlier_frame_is_invalid_data() {
     let tmp = TempDir::new("crcflip");
-    let options = StoreOptions { segment_max_bytes: 64, ..opts() };
-    let mut store = DurableStore::create(tmp.path(), options.clone()).unwrap();
-    for i in 0u32..20 {
-        store.append(1, format!("record-{i:04}").as_bytes()).unwrap();
+    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
+    store.sync().unwrap();
+    let first = file_len(&journal_file(tmp.path()));
+    store.append(1, b"record-0000").unwrap();
+    store.sync().unwrap();
+    let second = file_len(&journal_file(tmp.path()));
+    store.append(2, b"record-0001").unwrap();
+    store.append(3, b"").unwrap();
+    store.sync().unwrap();
+    drop(store);
+    let pristine = std::fs::read(journal_file(tmp.path())).unwrap();
+
+    // Every byte of the first frame: length, tag, CRC and payload. A
+    // length flip can run the frame past end-of-file; that must not pass
+    // for a torn tail, because the bytes after it are records.
+    for at in first..second {
+        let mut bytes = pristine.clone();
+        bytes[at as usize] ^= 0xFF;
+        std::fs::write(journal_file(tmp.path()), &bytes).unwrap();
+        let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {at}: {err}");
+        assert!(err.to_string().contains(&format!("byte {first}")), "byte {at}: {err}");
+    }
+    // The file is left as it was found: nothing was truncated.
+    assert_eq!(file_len(&journal_file(tmp.path())), pristine.len() as u64);
+}
+
+#[test]
+fn cutting_the_final_frame_at_any_byte_recovers_the_complete_frames() {
+    let tmp = TempDir::new("cutall");
+    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
+    for i in 0u32..3 {
+        store.append(i, format!("complete-{i}").as_bytes()).unwrap();
     }
     store.sync().unwrap();
-    assert!(store.segment_number() >= 2);
-    drop(store);
-
-    // Flip one payload byte in the first (sealed) segment, past the
-    // 40-byte header.
-    let path = tmp.path().join("wal_00000001.seg");
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[55] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let err = DurableStore::open(tmp.path(), options).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("sealed segment"), "{err}");
-}
-
-#[test]
-fn short_header_on_a_sealed_segment_is_an_error() {
-    let tmp = TempDir::new("shorthdr");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"y").unwrap();
+    let complete = file_len(&journal_file(tmp.path()));
+    store.append(9, b"the final frame, cut short").unwrap();
     store.sync().unwrap();
     drop(store);
+    let pristine = std::fs::read(journal_file(tmp.path())).unwrap();
 
-    let path = tmp.path().join("wal_00000001.seg");
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..10]).unwrap();
+    for cut in complete + 1..pristine.len() as u64 {
+        let dir = TempDir::new("cut");
+        std::fs::write(journal_file(dir.path()), &pristine[..cut as usize]).unwrap();
+        let (mut reopened, recovered) = DurableStore::open(dir.path(), opts()).unwrap();
+        assert!(recovered.torn_tail_recovered, "cut at {cut}");
+        let tags: Vec<u32> = recovered.records.iter().map(|r| r.tag).collect();
+        assert_eq!(tags, [0, 1, 2], "cut at {cut}");
+        assert_eq!(file_len(&journal_file(dir.path())), complete, "cut at {cut}");
 
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("short segment header"), "{err}");
+        reopened.append(4, b"after").unwrap();
+        reopened.sync().unwrap();
+        drop(reopened);
+        let (_, again) = DurableStore::open(dir.path(), opts()).unwrap();
+        assert!(!again.torn_tail_recovered, "cut at {cut}");
+        assert_eq!(again.records.len(), 4, "cut at {cut}");
+    }
 }
 
 #[test]
-fn short_header_on_the_final_segment_is_recovered_in_place() {
-    let tmp = TempDir::new("tornhdr");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"keep-me").unwrap();
-    store.rotate().unwrap();
-    drop(store);
+fn a_segmented_store_directory_is_refused_by_name() {
+    let tmp = TempDir::new("oldformat");
+    // Format version 1 kept numbered segments; its directory holds no
+    // journal file and is never partly replayed.
+    std::fs::write(tmp.path().join("wal_00000001.seg"), b"DSRWALv1\x01\0\0\0").unwrap();
+    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(err.to_string().contains("journal.wal"), "{err}");
+}
 
-    // Simulate a crash between creating wal_00000002.seg and its header
+#[test]
+fn a_file_shorter_than_its_header_is_reseeded_in_place() {
+    let tmp = TempDir::new("tornhdr");
+    drop(DurableStore::create(tmp.path(), opts()).unwrap());
+
+    // Simulate a crash between creating the journal file and its header
     // reaching disk.
-    let path = tmp.path().join("wal_00000002.seg");
-    std::fs::write(&path, b"DSRW").unwrap();
+    std::fs::write(journal_file(tmp.path()), b"DSRW").unwrap();
 
     let (mut reopened, recovered) = DurableStore::open(tmp.path(), opts()).unwrap();
     assert!(recovered.torn_tail_recovered);
-    assert_eq!(recovered.records.len(), 1);
-    assert_eq!(reopened.segment_number(), 2, "numbering stays contiguous");
+    assert!(recovered.records.is_empty());
     reopened.append(1, b"fresh").unwrap();
     reopened.sync().unwrap();
     drop(reopened);
     let (_, again) = DurableStore::open(tmp.path(), opts()).unwrap();
-    assert_eq!(again.records.len(), 2);
+    assert!(!again.torn_tail_recovered);
+    assert_eq!(again.records.len(), 1);
+    assert_eq!(again.records[0].payload, b"fresh");
 }
 
 #[test]
@@ -234,7 +252,7 @@ fn wrong_magic_is_detected() {
     store.sync().unwrap();
     drop(store);
 
-    let path = tmp.path().join("wal_00000001.seg");
+    let path = journal_file(tmp.path());
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
@@ -251,91 +269,13 @@ fn wrong_version_is_detected() {
     store.sync().unwrap();
     drop(store);
 
-    let path = tmp.path().join("wal_00000001.seg");
+    let path = journal_file(tmp.path());
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[8] = 99;
     std::fs::write(&path, &bytes).unwrap();
 
     let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
     assert!(err.to_string().contains("unsupported WAL format version"), "{err}");
-}
-
-#[test]
-fn foreign_uuid_is_detected() {
-    let tmp = TempDir::new("uuid");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"y").unwrap();
-    store.sync().unwrap();
-    drop(store);
-
-    // Rewrite segment 2's UUID: a segment from some other store that
-    // landed in this directory.
-    let path = tmp.path().join("wal_00000002.seg");
-    let mut bytes = std::fs::read(&path).unwrap();
-    for b in &mut bytes[24..40] {
-        *b ^= 0xA5;
-    }
-    std::fs::write(&path, &bytes).unwrap();
-
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("UUID mismatch"), "{err}");
-}
-
-#[test]
-fn segment_number_mismatch_is_detected() {
-    let tmp = TempDir::new("renamed");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"x").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"y").unwrap();
-    store.sync().unwrap();
-    drop(store);
-
-    // Segment 1's bytes under segment 2's name: the numbering is
-    // contiguous, but the header says otherwise.
-    std::fs::copy(tmp.path().join("wal_00000001.seg"), tmp.path().join("wal_00000002.seg"))
-        .unwrap();
-
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("file name says"), "{err}");
-}
-
-#[test]
-fn segment_gap_is_detected() {
-    let tmp = TempDir::new("gap");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"a").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"b").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"c").unwrap();
-    store.sync().unwrap();
-    drop(store);
-
-    std::fs::remove_file(tmp.path().join("wal_00000002.seg")).unwrap();
-
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert!(err.to_string().contains("segment gap"), "{err}");
-}
-
-#[test]
-fn missing_first_segment_is_detected() {
-    let tmp = TempDir::new("nofirst");
-    let mut store = DurableStore::create(tmp.path(), opts()).unwrap();
-    store.append(1, b"a").unwrap();
-    store.rotate().unwrap();
-    store.append(1, b"b").unwrap();
-    store.sync().unwrap();
-    drop(store);
-
-    // Replaying from segment 2 would silently drop record "a".
-    std::fs::remove_file(tmp.path().join("wal_00000001.seg")).unwrap();
-
-    let err = DurableStore::open(tmp.path(), opts()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("wal_00000001.seg"), "{err}");
 }
 
 #[test]
@@ -348,16 +288,15 @@ fn metrics_counters_track_the_lifecycle() {
     };
     let mut store = DurableStore::create(tmp.path(), options).unwrap();
     store.append(1, b"a").unwrap();
+    store.sync().unwrap();
     store.append(1, b"b").unwrap();
-    store.rotate().unwrap();
     store.append(1, b"c").unwrap();
     store.sync().unwrap();
     drop(store);
 
     let snap = registry.snapshot();
     assert_eq!(snap.counter("wal.appends"), Some(3));
-    assert!(snap.counter("wal.fsyncs").unwrap_or(0) >= 2);
-    assert_eq!(snap.counter("wal.rotations"), Some(1));
+    assert_eq!(snap.counter("wal.fsyncs"), Some(2));
 
     // Replay counts land in a fresh registry on open.
     let reopen_registry = obs::Registry::new();

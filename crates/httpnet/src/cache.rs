@@ -247,8 +247,12 @@ pub struct RevalStats {
     pub revalidated: u64,
 }
 
+/// A held representation: its ETag, the response, and the stamp of the
+/// store that made it new to the cache.
+type RevalEntry = (String, Arc<Response>, u64);
+
 struct RevalShard {
-    map: HashMap<String, (String, Arc<Response>)>,
+    map: HashMap<String, RevalEntry>,
     order: std::collections::VecDeque<String>,
     stored: u64,
     revalidated: u64,
@@ -264,9 +268,16 @@ struct RevalShard {
 /// incremental sweep. Bodies are held behind `Arc` and cloned outside
 /// the shard lock, so no worker memcpys a response body while holding a
 /// lock another worker needs.
+///
+/// Every store that makes a representation new to the cache — a key
+/// first stored, or re-stored under a different ETag — takes the next
+/// stamp of one sequence, so [`RevalidationCache::for_each_entry_after`]
+/// can visit only what was stored since a caller's last visit.
 #[derive(Clone)]
 pub struct RevalidationCache {
     shards: Arc<Vec<Mutex<RevalShard>>>,
+    /// The last stamp handed out; stamps start at 1.
+    stamps: Arc<AtomicU64>,
     per_shard_cap: usize,
 }
 
@@ -301,6 +312,7 @@ impl RevalidationCache {
                     })
                     .collect(),
             ),
+            stamps: Arc::new(AtomicU64::new(0)),
             per_shard_cap: capacity.div_ceil(n_shards).max(1),
         }
     }
@@ -312,7 +324,7 @@ impl RevalidationCache {
 
     /// The ETag to send as `If-None-Match` for `key`, if one is held.
     pub fn etag_for(&self, key: &str) -> Option<String> {
-        self.shard_for(key).lock().unwrap().map.get(key).map(|(etag, _)| etag.clone())
+        self.shard_for(key).lock().unwrap().map.get(key).map(|(etag, _, _)| etag.clone())
     }
 
     /// Store a 200-with-ETag response. Non-200s and untagged responses
@@ -327,7 +339,15 @@ impl RevalidationCache {
         let held = Arc::new(resp.clone());
         let mut shard = self.shard_for(key).lock().unwrap();
         shard.stored += 1;
-        if shard.map.insert(key.to_owned(), (etag, held)).is_none() {
+        // The stamp is taken under the shard lock, which is what lets a
+        // visit that read the sequence before locking this shard treat
+        // every stamp up to that reading as already in the map.
+        let next_stamp = || self.stamps.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(entry) = shard.map.get_mut(key) {
+            let stamp = if entry.0 == etag { entry.2 } else { next_stamp() };
+            *entry = (etag, held, stamp);
+        } else {
+            shard.map.insert(key.to_owned(), (etag, held, next_stamp()));
             shard.order.push_back(key.to_owned());
             while shard.order.len() > self.per_shard_cap {
                 if let Some(victim) = shard.order.pop_front() {
@@ -344,28 +364,45 @@ impl RevalidationCache {
     pub fn take_revalidated(&self, key: &str) -> Option<Response> {
         let held = {
             let mut shard = self.shard_for(key).lock().unwrap();
-            let held = shard.map.get(key).map(|(_, r)| Arc::clone(r))?;
+            let held = shard.map.get(key).map(|(_, r, _)| Arc::clone(r))?;
             shard.revalidated += 1;
             held
         };
         Some((*held).clone())
     }
 
-    /// Visit every held entry in key order without cloning bodies — the
-    /// journal calls this at each phase commit, where a full-cache clone
-    /// would dominate the commit. Entries are gathered shard by shard (cheap
+    /// Visit, in key order and without cloning bodies, every held entry
+    /// stamped after `cursor`: pass 0 to visit them all, then the cursor
+    /// the previous visit returned to visit only what was stored since.
+    /// The journal calls this at each phase commit to write each new
+    /// representation once. Entries are gathered shard by shard (cheap
     /// `Arc` bumps) and visited with no lock held, so `f` may call back
-    /// into the cache.
-    pub fn for_each_entry(&self, mut f: impl FnMut(&str, &Response)) {
+    /// into the cache. A store racing the visit is seen by this visit or
+    /// the next one, never by neither.
+    pub fn for_each_entry_after(&self, cursor: u64, mut f: impl FnMut(&str, &Response)) -> u64 {
+        let next = self.last_stamp();
         let mut entries: Vec<(String, Arc<Response>)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap();
-            entries.extend(shard.map.iter().map(|(k, (_, r))| (k.clone(), Arc::clone(r))));
+            entries.extend(
+                shard
+                    .map
+                    .iter()
+                    .filter(|(_, (_, _, stamp))| *stamp > cursor)
+                    .map(|(k, (_, r, _))| (k.clone(), Arc::clone(r))),
+            );
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         for (key, resp) in &entries {
             f(key, resp);
         }
+        next
+    }
+
+    /// The stamp of the latest store that made a representation new: a
+    /// cursor past everything the cache holds now.
+    pub fn last_stamp(&self) -> u64 {
+        self.stamps.load(Ordering::Relaxed)
     }
 
     /// Usage counters.
@@ -496,8 +533,33 @@ mod tests {
             assert_eq!(cache.take_revalidated(&key).unwrap().text(), format!("body {i}"));
         }
         let mut walked = Vec::new();
-        cache.for_each_entry(|k, _| walked.push(k.to_owned()));
+        cache.for_each_entry_after(0, |k, _| walked.push(k.to_owned()));
         assert_eq!(walked.len(), 64);
         assert!(walked.windows(2).all(|w| w[0] < w[1]), "walk sorted by key");
+    }
+
+    #[test]
+    fn a_visit_after_a_cursor_sees_only_newer_representations() {
+        let cache = RevalidationCache::new(1 << 10);
+        let walk = |cursor| {
+            let mut keys = Vec::new();
+            let next = cache.for_each_entry_after(cursor, |k, _| keys.push(k.to_owned()));
+            (keys, next)
+        };
+        cache.store("b", &tagged("b", 1));
+        cache.store("a", &tagged("a", 1));
+        let (keys, cursor) = walk(0);
+        assert_eq!((keys, cursor), (vec!["a".to_owned(), "b".to_owned()], 2));
+        assert_eq!(walk(cursor), (vec![], 2), "nothing new since the cursor");
+
+        // Re-storing an unchanged representation keeps its stamp; a new
+        // ETag or a new key takes a fresh one.
+        cache.store("a", &tagged("a", 1));
+        cache.store("c", &tagged("c", 1));
+        cache.store("b", &tagged("b changed", 2));
+        let (keys, next) = walk(cursor);
+        assert_eq!(keys, ["b", "c"]);
+        assert_eq!(next, cache.last_stamp());
+        assert_eq!(walk(0).0, ["a", "b", "c"], "cursor 0 still visits every entry");
     }
 }

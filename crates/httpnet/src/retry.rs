@@ -51,22 +51,19 @@ pub struct RetryAfter {
 
 /// Parse a `Retry-After` header value. Accepts both RFC 9110 forms:
 /// delta-seconds (fractional values accepted — the simulated servers use
-/// them to keep tests fast) and an IMF-fixdate HTTP-date (interpreted
-/// relative to the wall clock; dates in the past mean "now"). Negative,
-/// non-finite, and unparseable values yield `None`; absurd durations are
-/// clamped to [`MAX_RETRY_AFTER`] with `clamped` set.
-pub fn parse_retry_after_detailed(resp: &Response) -> Option<RetryAfter> {
+/// them to keep tests fast) and an IMF-fixdate HTTP-date, resolved
+/// against `now`, the caller's clock reading in epoch seconds (dates in
+/// the past mean "now"). Negative, non-finite, and unparseable values
+/// yield `None`; absurd durations are clamped to [`MAX_RETRY_AFTER`]
+/// with `clamped` set.
+pub fn parse_retry_after_detailed(resp: &Response, now: u64) -> Option<RetryAfter> {
     let raw = resp.headers.get("retry-after")?.trim();
     let secs = match raw.parse::<f64>() {
         Ok(s) if s.is_finite() && s >= 0.0 => s,
         Ok(_) => return None,
         Err(_) => {
-            let when = http_date_epoch(raw)?;
-            let now = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(0.0);
-            (when as f64 - now).max(0.0)
+            let now = i64::try_from(now).unwrap_or(i64::MAX);
+            http_date_epoch(raw)?.saturating_sub(now).max(0) as f64
         }
     };
     if secs > MAX_RETRY_AFTER.as_secs_f64() {
@@ -77,8 +74,8 @@ pub fn parse_retry_after_detailed(resp: &Response) -> Option<RetryAfter> {
 }
 
 /// [`parse_retry_after_detailed`] without the clamp flag.
-fn parse_retry_after(resp: &Response) -> Option<Duration> {
-    parse_retry_after_detailed(resp).map(|r| r.delay)
+fn parse_retry_after(resp: &Response, now: u64) -> Option<Duration> {
+    parse_retry_after_detailed(resp, now).map(|r| r.delay)
 }
 
 /// Parse an IMF-fixdate HTTP-date (`Sun, 06 Nov 1994 08:49:37 GMT`) to
@@ -187,14 +184,16 @@ impl RetryPolicy {
     }
 
     /// The delay before a retry prompted by `resp`: an advertised
-    /// `Retry-After` (capped by `max_backoff`) wins over computed backoff.
+    /// `Retry-After` (capped by `max_backoff`; an HTTP-date is resolved
+    /// against `now`, epoch seconds) wins over computed backoff.
     pub fn delay_for_response(
         &self,
         resp: &Response,
         retry: usize,
         rng: &mut StdRng,
+        now: u64,
     ) -> Duration {
-        match parse_retry_after(resp) {
+        match parse_retry_after(resp, now) {
             Some(ra) => ra.min(self.max_backoff),
             None => self.backoff(retry, rng),
         }
@@ -267,16 +266,13 @@ mod tests {
 
     #[test]
     fn retry_after_parses_integer_and_fractional_seconds() {
+        assert_eq!(parse_retry_after(&resp_with_retry_after("2"), 0), Some(Duration::from_secs(2)));
         assert_eq!(
-            parse_retry_after(&resp_with_retry_after("2")),
-            Some(Duration::from_secs(2))
-        );
-        assert_eq!(
-            parse_retry_after(&resp_with_retry_after("0.25")),
+            parse_retry_after(&resp_with_retry_after("0.25"), 0),
             Some(Duration::from_millis(250))
         );
         assert_eq!(
-            parse_retry_after(&resp_with_retry_after(" 1.5 ")),
+            parse_retry_after(&resp_with_retry_after(" 1.5 "), 0),
             Some(Duration::from_millis(1500))
         );
     }
@@ -284,14 +280,14 @@ mod tests {
     #[test]
     fn retry_after_rejects_garbage() {
         for bad in ["soon", "-1", "inf", "NaN", ""] {
-            assert_eq!(parse_retry_after(&resp_with_retry_after(bad)), None, "{bad:?}");
+            assert_eq!(parse_retry_after(&resp_with_retry_after(bad), 0), None, "{bad:?}");
         }
         let bare = Response { status: Status::TOO_MANY, headers: Headers::new(), body: Vec::new() };
-        assert_eq!(parse_retry_after(&bare), None);
+        assert_eq!(parse_retry_after(&bare, 0), None);
     }
 
     /// Inverse of `days_from_civil` (Hinnant's `civil_from_days`), used to
-    /// format a near-future HTTP-date relative to the real wall clock.
+    /// format an HTTP-date at a given epoch second.
     fn civil_from_days(z: i64) -> (i64, u32, u32) {
         let z = z + 719_468;
         let era = z.div_euclid(146_097);
@@ -338,9 +334,10 @@ mod tests {
 
     #[test]
     fn retry_after_http_date_in_the_past_means_now() {
-        let r = parse_retry_after_detailed(&resp_with_retry_after(
-            "Sun, 06 Nov 1994 08:49:37 GMT",
-        ))
+        let r = parse_retry_after_detailed(
+            &resp_with_retry_after("Sun, 06 Nov 1994 08:49:37 GMT"),
+            1_709_208_000,
+        )
         .expect("valid HTTP-date");
         assert_eq!(r.delay, Duration::ZERO);
         assert!(!r.clamped);
@@ -348,32 +345,23 @@ mod tests {
 
     #[test]
     fn retry_after_http_date_in_the_near_future_parses() {
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_secs() as i64;
-        let value = http_date_at(now + 120);
-        let r = parse_retry_after_detailed(&resp_with_retry_after(&value))
+        let now = 1_709_208_000; // 29 Feb 2024 12:00:00 UTC
+        let value = http_date_at(now as i64 + 120);
+        let r = parse_retry_after_detailed(&resp_with_retry_after(&value), now)
             .unwrap_or_else(|| panic!("{value:?} should parse"));
-        // Allow slack for the wall clock advancing between now() calls.
-        assert!(
-            r.delay > Duration::from_secs(100) && r.delay <= Duration::from_secs(121),
-            "{value:?} -> {:?}",
-            r.delay
-        );
-        assert!(!r.clamped);
+        assert_eq!(r, RetryAfter { delay: Duration::from_secs(120), clamped: false });
     }
 
     #[test]
     fn absurd_retry_after_values_are_clamped_and_flagged() {
         for absurd in ["999999999", "1e12", &http_date_at(32_503_680_000)] {
-            let r = parse_retry_after_detailed(&resp_with_retry_after(absurd))
+            let r = parse_retry_after_detailed(&resp_with_retry_after(absurd), 1_709_208_000)
                 .unwrap_or_else(|| panic!("{absurd:?} should parse"));
             assert_eq!(r.delay, MAX_RETRY_AFTER, "{absurd:?}");
             assert!(r.clamped, "{absurd:?}");
         }
         // At or under the cap: honored verbatim, not flagged.
-        let r = parse_retry_after_detailed(&resp_with_retry_after("3600")).unwrap();
+        let r = parse_retry_after_detailed(&resp_with_retry_after("3600"), 0).unwrap();
         assert_eq!(r, RetryAfter { delay: MAX_RETRY_AFTER, clamped: false });
     }
 
@@ -387,19 +375,16 @@ mod tests {
         };
         let mut rng = p.jitter_rng();
         assert_eq!(
-            p.delay_for_response(&resp_with_retry_after("0.05"), 0, &mut rng),
+            p.delay_for_response(&resp_with_retry_after("0.05"), 0, &mut rng, 0),
             Duration::from_millis(50)
         );
         // A hostile/huge Retry-After cannot stall the crawl beyond the cap.
         assert_eq!(
-            p.delay_for_response(&resp_with_retry_after("3600"), 0, &mut rng),
+            p.delay_for_response(&resp_with_retry_after("3600"), 0, &mut rng, 0),
             Duration::from_millis(400)
         );
         // Without the header, fall back to computed backoff.
         let plain = Response::status(Status::INTERNAL);
-        assert_eq!(
-            p.delay_for_response(&plain, 0, &mut rng),
-            Duration::from_millis(10)
-        );
+        assert_eq!(p.delay_for_response(&plain, 0, &mut rng, 0), Duration::from_millis(10));
     }
 }

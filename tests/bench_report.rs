@@ -67,7 +67,11 @@ fn a_report_round_trips_through_jsonlite() {
 
 #[test]
 fn a_report_records_the_commit_it_ran_on() {
-    let is_short_hash = |c: &str| c.len() >= 4 && c.bytes().all(|b| b.is_ascii_hexdigit());
+    // A tree with uncommitted changes to tracked files records `<hash>-dirty`.
+    let is_short_hash = |c: &str| {
+        let c = c.strip_suffix("-dirty").unwrap_or(c);
+        c.len() >= 4 && c.bytes().all(|b| b.is_ascii_hexdigit())
+    };
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
     let commit = head_commit(repo);
     if repo.join(".git").exists() {
@@ -84,6 +88,36 @@ fn a_report_records_the_commit_it_ran_on() {
     let json = r.to_json();
     let written = json.get("env").and_then(|env| env.get("commit")).and_then(Value::as_str);
     assert_eq!(written, Some(r.commit.as_str()), "env.commit is written");
+}
+
+#[test]
+fn a_modified_tracked_file_marks_the_commit_dirty() {
+    let repo = std::env::temp_dir().join(format!("bench-report-dirty-{}", std::process::id()));
+    std::fs::create_dir_all(&repo).expect("temp dir");
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git")
+            .args(["-c", "user.name=bench", "-c", "user.email=bench@localhost"])
+            .args(["-c", "commit.gpgsign=false"])
+            .args(args)
+            .current_dir(&repo)
+            .output()
+            .expect("git runs");
+        assert!(out.status.success(), "git {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    git(&["init", "-q"]);
+    std::fs::write(repo.join("tracked.txt"), "one\n").expect("write");
+    git(&["add", "tracked.txt"]);
+    git(&["commit", "-q", "-m", "first"]);
+
+    let clean = head_commit(&repo);
+    assert!(!clean.ends_with("-dirty") && clean != UNKNOWN_COMMIT, "{clean:?}");
+    // An untracked file leaves the tree clean; an edit to a tracked one
+    // does not.
+    std::fs::write(repo.join("untracked.txt"), "x\n").expect("write");
+    assert_eq!(head_commit(&repo), clean);
+    std::fs::write(repo.join("tracked.txt"), "two\n").expect("write");
+    assert_eq!(head_commit(&repo), format!("{clean}-dirty"));
+    std::fs::remove_dir_all(&repo).expect("temp dir removed");
 }
 
 #[test]
